@@ -21,7 +21,7 @@ pub mod msecc;
 pub mod per_line;
 
 use killi::registry::{
-    BuildError, CellSpan, LineRule, ParamSpec, ParamValue, SchemeDescriptor, SchemeRegistry,
+    CellSpan, LineRule, ParamSpec, ParamValue, SchemeDescriptor, SchemeRegistry,
 };
 
 pub use flair_online::FlairOnline;
@@ -36,14 +36,6 @@ const SECDED_RULE: LineRule = LineRule::Total {
     max_faults: 1,
 };
 
-/// Maps a constructor's `Err(String)` onto a typed geometry error.
-fn geometry_err(scheme: &'static str) -> impl Fn(String) -> BuildError {
-    move |reason| BuildError::Geometry {
-        scheme: scheme.to_string(),
-        reason,
-    }
-}
-
 /// Registers the baseline schemes (`flair`, `secded`, `dected`,
 /// `flair-online`, `ms-ecc`) as declarative registry entries.
 pub fn register_baselines(registry: &mut SchemeRegistry) {
@@ -52,14 +44,14 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line SECDED with >= 2-fault lines disabled (FLAIR steady state)",
         params: Vec::new(),
         label: |_| "flair".to_string(),
-        build: |_, ctx| {
+        build: |p, ctx| {
             let scheme = PerLineEcc::try_new(
                 "flair",
                 EccStrength::Secded,
                 std::sync::Arc::clone(&ctx.fault_map),
                 ctx.geometry.lines(),
             )
-            .map_err(geometry_err("flair"))?;
+            .map_err(|reason| p.unbuildable(reason))?;
             Ok(Box::new(scheme))
         },
         admissibility: |_| SECDED_RULE,
@@ -70,14 +62,14 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "plain per-line SECDED (the Table 5 area-normalization baseline)",
         params: Vec::new(),
         label: |_| "secded".to_string(),
-        build: |_, ctx| {
+        build: |p, ctx| {
             let scheme = PerLineEcc::try_new(
                 "secded",
                 EccStrength::Secded,
                 std::sync::Arc::clone(&ctx.fault_map),
                 ctx.geometry.lines(),
             )
-            .map_err(geometry_err("secded"))?;
+            .map_err(|reason| p.unbuildable(reason))?;
             Ok(Box::new(scheme))
         },
         admissibility: |_| SECDED_RULE,
@@ -88,14 +80,14 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line DEC-TED with >= 3-fault lines disabled",
         params: Vec::new(),
         label: |_| "dected".to_string(),
-        build: |_, ctx| {
+        build: |p, ctx| {
             let scheme = PerLineEcc::try_new(
                 "dected",
                 EccStrength::Dected,
                 std::sync::Arc::clone(&ctx.fault_map),
                 ctx.geometry.lines(),
             )
-            .map_err(geometry_err("dected"))?;
+            .map_err(|reason| p.unbuildable(reason))?;
             Ok(Box::new(scheme))
         },
         admissibility: |_| LineRule::Total {
@@ -125,7 +117,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
                 ctx.geometry.ways,
                 per_pair,
             )
-            .map_err(geometry_err("flair-online"))?;
+            .map_err(|reason| p.unbuildable(reason))?;
             Ok(Box::new(scheme))
         },
         // The online training cost changes runtime, not which lines
@@ -156,7 +148,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
                 p.u64("m") as usize,
                 p.u64("t") as usize,
             )
-            .map_err(geometry_err("ms-ecc"))?;
+            .map_err(|reason| p.unbuildable(reason))?;
             Ok(Box::new(scheme))
         },
         // OLSC(m, t): m*m-cell data blocks, t corrections each.

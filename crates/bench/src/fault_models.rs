@@ -6,21 +6,20 @@
 use std::sync::Arc;
 
 use killi_fault::cell_model::CellFailureModel;
+use killi_fault::model::BuildError;
 pub use killi_fault::model::{
-    default_registry as default_fault_registry, BuildError as FaultModelBuildError, FaultModel,
-    FaultModelConfig, FaultModelRegistry, STUCK_AT,
+    default_registry as default_fault_registry, FaultModel, FaultModelConfig, FaultModelRegistry,
+    STUCK_AT,
 };
 
 /// Builds a config into a live model against the default registry.
-pub fn build_fault_model(
-    config: &FaultModelConfig,
-) -> Result<Arc<dyn FaultModel>, FaultModelBuildError> {
+pub fn build_fault_model(config: &FaultModelConfig) -> Result<Arc<dyn FaultModel>, BuildError> {
     default_fault_registry().build(config)
 }
 
 /// The report label of a config (e.g. `stuck-at`,
 /// `clustered:rows=4,corr=0.8`).
-pub fn fault_model_label(config: &FaultModelConfig) -> Result<String, FaultModelBuildError> {
+pub fn fault_model_label(config: &FaultModelConfig) -> Result<String, BuildError> {
     default_fault_registry().label(config)
 }
 

@@ -11,7 +11,7 @@ use killi_sim::stats::SimStats;
 use killi_workloads::{TraceParams, Workload};
 
 use crate::fault_models::{build_fault_model, FaultModelConfig};
-use crate::schemes::{build_scheme, scheme_label, BuildCtx, SchemeConfig};
+use crate::schemes::{build_scheme, scheme_label, BuildCtx, SchemeConfig, SchemeRegistry};
 
 /// Matrix configuration.
 #[derive(Debug, Clone)]
@@ -212,7 +212,11 @@ pub fn run_matrix(
     }
 
     crate::exec::par_map(config.threads, &jobs, None, |_, &(w, s)| {
-        let map = if s.is_baseline() { &free_map } else { &lv_map };
+        let map = if SchemeRegistry::is_baseline(s) {
+            &free_map
+        } else {
+            &lv_map
+        };
         run_one(w, s, config, map)
     })
 }

@@ -11,11 +11,13 @@
 
 use std::sync::OnceLock;
 
-use killi::registry::{register_killi_schemes, SchemeRegistry};
+use killi::registry::register_killi_schemes;
 use killi_baselines::register_baselines;
 use killi_sim::protection::LineProtection;
 
-pub use killi::registry::{BuildCtx, BuildError, CellSpan, LineRule, ParamValue, SchemeConfig};
+pub use killi::registry::{
+    BuildCtx, BuildError, CellSpan, LineRule, ParamValue, SchemeConfig, SchemeRegistry,
+};
 
 /// The process-wide registry with every built-in scheme declared
 /// (Killi variants + baselines).

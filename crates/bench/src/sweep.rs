@@ -34,8 +34,7 @@ use killi_obs::MetricSet;
 
 use crate::exec::{par_map, Progress};
 use crate::fault_models::{
-    build_fault_model, default_fault_registry, fault_model_label, FaultModelBuildError,
-    FaultModelConfig, STUCK_AT,
+    build_fault_model, default_fault_registry, fault_model_label, FaultModelConfig, STUCK_AT,
 };
 use crate::report::Table;
 use crate::runner::{run_cell, run_cell_traced, ObsConfig};
@@ -44,14 +43,12 @@ use crate::schemes::{
 };
 
 /// Why a [`SweepConfig`] failed validation: either the scheme axis or the
-/// fault-model axis rejected its config. Both sides carry the typed error
-/// of their own registry.
+/// fault-model axis rejected its config (the error names which), or the
+/// voltage grid is unusable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepConfigError {
-    /// A protection-scheme config failed to resolve or build.
-    Scheme(BuildError),
-    /// The fault-model config failed to resolve or build.
-    FaultModel(FaultModelBuildError),
+    /// A scheme or fault-model config failed to resolve or build.
+    Registry(BuildError),
     /// The voltage grid is degenerate (see [`validate_voltage_grid`]).
     VoltageGrid {
         /// What is wrong with the grid.
@@ -62,8 +59,7 @@ pub enum SweepConfigError {
 impl std::fmt::Display for SweepConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepConfigError::Scheme(e) => write!(f, "{e}"),
-            SweepConfigError::FaultModel(e) => write!(f, "{e}"),
+            SweepConfigError::Registry(e) => write!(f, "{e}"),
             SweepConfigError::VoltageGrid { reason } => {
                 write!(f, "invalid voltage grid: {reason}")
             }
@@ -103,13 +99,7 @@ impl std::error::Error for SweepConfigError {}
 
 impl From<BuildError> for SweepConfigError {
     fn from(e: BuildError) -> Self {
-        SweepConfigError::Scheme(e)
-    }
-}
-
-impl From<FaultModelBuildError> for SweepConfigError {
-    fn from(e: FaultModelBuildError) -> Self {
-        SweepConfigError::FaultModel(e)
+        SweepConfigError::Registry(e)
     }
 }
 
@@ -889,6 +879,7 @@ pub fn json_array(reports: &[SweepReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use killi_obs::params::Axis;
     use killi_sim::cache::CacheGeometry;
 
     fn tiny_sweep() -> SweepConfig {
@@ -923,10 +914,13 @@ mod tests {
         assert!(config.validate().is_ok());
         config.schemes.push(SchemeConfig::new("no-such-scheme"));
         match config.validate() {
-            Err(SweepConfigError::Scheme(BuildError::UnknownScheme { name })) => {
+            Err(SweepConfigError::Registry(BuildError::Unknown {
+                axis: Axis::Scheme,
+                name,
+            })) => {
                 assert_eq!(name, "no-such-scheme")
             }
-            other => panic!("expected UnknownScheme, got {other:?}"),
+            other => panic!("expected an unknown scheme, got {other:?}"),
         }
     }
 
@@ -935,10 +929,13 @@ mod tests {
         let mut config = tiny_sweep();
         config.fault_model = FaultModelConfig::new("no-such-model");
         match config.validate() {
-            Err(SweepConfigError::FaultModel(FaultModelBuildError::UnknownModel { name })) => {
+            Err(SweepConfigError::Registry(BuildError::Unknown {
+                axis: Axis::FaultModel,
+                name,
+            })) => {
                 assert_eq!(name, "no-such-model")
             }
-            other => panic!("expected UnknownModel, got {other:?}"),
+            other => panic!("expected an unknown fault model, got {other:?}"),
         }
     }
 
@@ -1111,7 +1108,10 @@ mod tests {
         config.schemes.push(SchemeConfig::new("no-such-scheme"));
         assert!(matches!(
             config.validated(),
-            Err(SweepConfigError::Scheme(BuildError::UnknownScheme { .. }))
+            Err(SweepConfigError::Registry(BuildError::Unknown {
+                axis: Axis::Scheme,
+                ..
+            }))
         ));
     }
 

@@ -39,14 +39,14 @@ use std::sync::Arc;
 
 use args::{ArgError, Args};
 use killi_bench::fault_models::{
-    build_fault_model, default_fault_registry, fault_model_label, FaultModelBuildError,
-    FaultModelConfig, STUCK_AT,
+    build_fault_model, default_fault_registry, fault_model_label, FaultModelConfig, STUCK_AT,
 };
 use killi_bench::perf::{run_perf_suite, BENCHMARK_NAMES};
 use killi_bench::report::Table;
 use killi_bench::runner::{baseline_of, run_cell, run_matrix, MatrixConfig, ObsConfig};
 use killi_bench::schemes::{
-    build_scheme, default_registry, scheme_label, BuildCtx, ParamValue, SchemeConfig,
+    build_scheme, default_registry, scheme_label, BuildCtx, BuildError, ParamValue, SchemeConfig,
+    SchemeRegistry,
 };
 use killi_bench::sweep::{run_sweep, SweepConfig};
 use killi_fault::cell_model::{FreqGhz, NormVdd};
@@ -54,6 +54,7 @@ use killi_fault::line_stats::LineFaultDistribution;
 use killi_fault::map::FaultMap;
 use killi_model::area::{checkbits, AreaModel};
 use killi_model::coverage::coverage_at;
+use killi_obs::params::{Config, Descriptor, Registry};
 use killi_obs::{parse_json, JsonValue};
 use killi_serve::{Client, Server, ServerConfig};
 use killi_sim::gpu::{GpuConfig, GpuSim};
@@ -232,7 +233,7 @@ fn main() -> ExitCode {
 fn cmd_coverage(args: &Args) -> Result<(), ArgError> {
     let vdd = args.flag_f64("vdd", 0.6)?;
     let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
-    let built = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
+    let built = build_fault_model(&fault_model)?;
     let model = built.cell_model().cloned().ok_or_else(|| {
         io_msg(format!(
             "fault model `{fault_model}` exposes no analytic cell-failure curve \
@@ -292,7 +293,7 @@ fn cmd_faultmap(args: &Args) -> Result<(), ArgError> {
     let lines: usize = args.get_num("lines", 32768)?;
     let seed = args.flag_u64("seed", 42)?;
     let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
-    let model = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
+    let model = build_fault_model(&fault_model)?;
     let map = model.map(lines, NormVdd(vdd), FreqGhz::PEAK, seed);
     let measured = LineFaultDistribution::measured(&map);
     let hist = map.data_fault_histogram(13);
@@ -318,48 +319,80 @@ fn cmd_faultmap(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Parses a `--scheme` value through the registry. Accepts the plain name
-/// (`killi`) and the parameterized shorthand
-/// (`killi:ratio=16,ecc_sets=64`). For back-compat, `--ratio N` is
-/// injected into any scheme that declares a `ratio` parameter the
-/// shorthand left unset.
-fn parse_scheme(input: &str, ratio: usize) -> Result<SchemeConfig, ArgError> {
-    let registry = default_registry();
-    let scheme_err = |e: killi_bench::schemes::BuildError| {
+/// Parses a registry flag value (`--scheme`, `--fault-model`): the plain
+/// name or the parameterized shorthand, passed through `complete`, then
+/// validated. Errors name the flag and list the registered entries.
+fn parse_registered<D: Descriptor>(
+    flag: &str,
+    input: &str,
+    registry: &Registry<D>,
+    complete: impl FnOnce(Config<D::Tag>) -> Config<D::Tag>,
+) -> Result<Config<D::Tag>, ArgError> {
+    let err = |e: BuildError| {
+        let registered = registry.names().join(", ");
         ArgError::invalid(
-            "scheme",
+            flag,
             input,
-            format!("valid ({e}); registered: {}", registry.names().join(", ")),
+            format!("valid ({e}); registered: {registered}"),
         )
     };
-    let mut config = SchemeConfig::parse(input).map_err(scheme_err)?;
-    if config.get("ratio").is_none() {
-        let declares_ratio = registry
-            .descriptor(&config.name)
-            .is_some_and(|d| d.params.iter().any(|p| p.name == "ratio"));
-        if declares_ratio {
-            config = config.with("ratio", ParamValue::U64(ratio as u64));
-        }
-    }
-    registry.validate(&config).map_err(scheme_err)?;
+    let config = complete(Config::parse(input).map_err(err)?);
+    registry.validate(&config).map_err(err)?;
     Ok(config)
 }
 
-/// Parses a `--fault-model` value through the fault-model registry.
-/// Accepts the plain name (`stuck-at`) and the parameterized shorthand
-/// (`clustered:rows=4,corr=0.8`).
+/// Parses a `--scheme` value (`killi`, `killi:ratio=16,ecc_sets=64`).
+/// For back-compat, `--ratio N` is injected into any scheme that declares
+/// a `ratio` parameter the shorthand left unset.
+fn parse_scheme(input: &str, ratio: usize) -> Result<SchemeConfig, ArgError> {
+    let registry = default_registry();
+    parse_registered("scheme", input, registry, |config| {
+        let declares_ratio = registry
+            .descriptor(&config.name)
+            .is_some_and(|d| d.params.iter().any(|p| p.name == "ratio"));
+        if declares_ratio && config.get("ratio").is_none() {
+            config.with("ratio", ParamValue::U64(ratio as u64))
+        } else {
+            config
+        }
+    })
+}
+
+/// Parses a `--fault-model` value (`stuck-at`, `clustered:rows=4,corr=0.8`).
 fn parse_fault_model(input: &str) -> Result<FaultModelConfig, ArgError> {
-    let registry = default_fault_registry();
-    let model_err = |e: FaultModelBuildError| {
-        ArgError::invalid(
-            "fault-model",
-            input,
-            format!("valid ({e}); registered: {}", registry.names().join(", ")),
-        )
-    };
-    let config = FaultModelConfig::parse(input).map_err(model_err)?;
-    registry.validate(&config).map_err(model_err)?;
-    Ok(config)
+    parse_registered("fault-model", input, default_fault_registry(), |c| c)
+}
+
+/// Reads a `--scheme-file`: a JSON scheme list (see
+/// [`SchemeRegistry::list_from_json`]).
+fn read_scheme_file(path: &str) -> Result<Vec<SchemeConfig>, ArgError> {
+    let text = std::fs::read_to_string(path).map_err(|e| io_msg(format!("{path}: {e}")))?;
+    SchemeRegistry::list_from_json(&text).map_err(|e| io_msg(format!("{path}: {e}")))
+}
+
+/// Prints the `parameters:` section of `killi schemes` and
+/// `killi fault-models`: each entry that declares parameters, with their
+/// defaults (long ones cut to 40 characters) and docs.
+fn print_params<D: Descriptor>(descriptors: &[D]) {
+    let with_params: Vec<&D> = descriptors
+        .iter()
+        .filter(|d| !d.params().is_empty())
+        .collect();
+    if with_params.is_empty() {
+        return;
+    }
+    println!("parameters:");
+    for d in with_params {
+        println!("  {}:", d.name());
+        for p in d.params() {
+            let mut default = p.default.to_string();
+            if default.len() > 40 {
+                default.truncate(37);
+                default.push_str("...");
+            }
+            println!("    {} = {}  ({})", p.name, default, p.doc);
+        }
+    }
 }
 
 /// `killi fault-models`: lists every registered fault model with its
@@ -369,12 +402,9 @@ fn parse_fault_model(input: &str) -> Result<FaultModelConfig, ArgError> {
 /// keeps the registry, the constructors and the service in sync).
 fn cmd_fault_models(args: &Args) -> Result<(), ArgError> {
     let registry = default_fault_registry();
-    let io_err = |e: FaultModelBuildError| io_msg(e.to_string());
     let mut t = Table::new(vec!["model", "default label", "nested", "description"]);
     for d in registry.descriptors() {
-        let label = registry
-            .label(&FaultModelConfig::new(d.name))
-            .map_err(io_err)?;
+        let label = registry.label(&FaultModelConfig::new(d.name))?;
         t.row(vec![
             d.name.to_string(),
             label,
@@ -388,26 +418,7 @@ fn cmd_fault_models(args: &Args) -> Result<(), ArgError> {
          are a subset of faults at any lower voltage):\n{}",
         t.render()
     );
-    let with_params: Vec<_> = registry
-        .descriptors()
-        .iter()
-        .filter(|d| !d.params.is_empty())
-        .collect();
-    if !with_params.is_empty() {
-        println!("parameters:");
-        for d in with_params {
-            println!("  {}:", d.name);
-            for p in &d.params {
-                let default = p.default.to_string();
-                let default = if default.len() > 40 {
-                    format!("{}...", &default[..37])
-                } else {
-                    default
-                };
-                println!("    {} = {}  ({})", p.name, default, p.doc);
-            }
-        }
-    }
+    print_params(registry.descriptors());
     if args.has("build-check") {
         for d in registry.descriptors() {
             let config = FaultModelConfig::new(d.name);
@@ -455,12 +466,9 @@ fn cmd_fault_models(args: &Args) -> Result<(), ArgError> {
 /// keeps the registry and the constructors in sync).
 fn cmd_schemes(args: &Args) -> Result<(), ArgError> {
     let registry = default_registry();
-    let io_err = |e: killi_bench::schemes::BuildError| ArgError::Io {
-        message: e.to_string(),
-    };
     let mut t = Table::new(vec!["scheme", "default label", "description"]);
     for d in registry.descriptors() {
-        let label = registry.label(&SchemeConfig::new(d.name)).map_err(io_err)?;
+        let label = registry.label(&SchemeConfig::new(d.name))?;
         t.row(vec![d.name.to_string(), label, d.doc.to_string()]);
     }
     println!(
@@ -468,20 +476,7 @@ fn cmd_schemes(args: &Args) -> Result<(), ArgError> {
          NAME:key=value,key=value):\n{}",
         t.render()
     );
-    let with_params: Vec<_> = registry
-        .descriptors()
-        .iter()
-        .filter(|d| !d.params.is_empty())
-        .collect();
-    if !with_params.is_empty() {
-        println!("parameters:");
-        for d in with_params {
-            println!("  {}:", d.name);
-            for p in &d.params {
-                println!("    {} = {}  ({})", p.name, p.default, p.doc);
-            }
-        }
-    }
+    print_params(registry.descriptors());
     if args.has("build-check") {
         let geometry = killi_sim::cache::CacheGeometry {
             size_bytes: 64 * 1024,
@@ -490,9 +485,8 @@ fn cmd_schemes(args: &Args) -> Result<(), ArgError> {
         };
         let ctx = BuildCtx::new(Arc::new(FaultMap::fault_free(geometry.lines())), geometry);
         for d in registry.descriptors() {
-            build_scheme(&SchemeConfig::new(d.name), &ctx).map_err(|e| ArgError::Io {
-                message: format!("{}: {e}", d.name),
-            })?;
+            build_scheme(&SchemeConfig::new(d.name), &ctx)
+                .map_err(|e| io_msg(format!("{}: {e}", d.name)))?;
             // Every scheme must also round-trip through the service's
             // job-payload path, so `killi serve` can run whatever the
             // registry can build.
@@ -501,8 +495,8 @@ fn cmd_schemes(args: &Args) -> Result<(), ArgError> {
                  \"schemes\":[\"{}\"],\"workloads\":[\"fft\"],\"ops_per_cu\":100}}",
                 d.name
             );
-            killi_serve::parse_job_spec(payload.as_bytes()).map_err(|e| ArgError::Io {
-                message: format!("{}: not submittable as a service job: {e}", d.name),
+            killi_serve::parse_job_spec(payload.as_bytes()).map_err(|e| {
+                io_msg(format!("{}: not submittable as a service job: {e}", d.name))
             })?;
         }
         println!(
@@ -581,15 +575,11 @@ fn cmd_replay(args: &Args) -> Result<(), ArgError> {
         ..GpuConfig::default()
     };
     let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
-    let model = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
+    let model = build_fault_model(&fault_model)?;
     let map = Arc::new(model.map(config.l2.lines(), NormVdd(vdd), FreqGhz::PEAK, seed));
     let ctx = BuildCtx::new(Arc::clone(&map), config.l2);
-    let protection = build_scheme(&scheme, &ctx).map_err(|e| ArgError::Io {
-        message: e.to_string(),
-    })?;
-    let label = scheme_label(&scheme).map_err(|e| ArgError::Io {
-        message: e.to_string(),
-    })?;
+    let protection = build_scheme(&scheme, &ctx)?;
+    let label = scheme_label(&scheme)?;
     let mut sim = GpuSim::new(config, map, protection, seed);
     let stats = sim.run(trace);
     println!("replayed {input} under {label} at {vdd} x VDD:");
@@ -662,12 +652,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
     let schemes = if scheme_file.is_empty() {
         args.flag_list("schemes", "killi", |s| parse_scheme(s, ratio))?
     } else {
-        let text = std::fs::read_to_string(&scheme_file).map_err(|e| ArgError::Io {
-            message: format!("{scheme_file}: {e}"),
-        })?;
-        SchemeConfig::list_from_json(&text).map_err(|e| ArgError::Io {
-            message: format!("{scheme_file}: {e}"),
-        })?
+        read_scheme_file(&scheme_file)?
     };
 
     let gpu = GpuConfig {
@@ -697,9 +682,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
     };
     // Catch unknown names, bad params, and geometry mismatches before the
     // fan-out phase spins up.
-    config.validate().map_err(|e| ArgError::Io {
-        message: e.to_string(),
-    })?;
+    config.validate().map_err(|e| io_msg(e.to_string()))?;
     eprintln!(
         "sweep: {} simulations ({} replications x {} vdds x {} schemes x {} workloads \
          + baselines) on {} threads",
@@ -717,12 +700,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
         report.summary_table().render()
     );
     println!("wall time: {:.1}s on {} threads", report.wall_secs, threads);
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(&out, report.to_json())?;
+    write_creating_dir(&out, report.to_json())?;
     println!("wrote {out}");
     if let Some(trace) = &report.trace {
         std::fs::write(&trace_out, trace)?;
@@ -739,9 +717,7 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
     if args.has("check") {
         let path = args.require("check", "vmin --check")?;
         let text = std::fs::read_to_string(&path)?;
-        killi_vmin::check_report(&text).map_err(|message| ArgError::Io {
-            message: format!("{path}: {message}"),
-        })?;
+        killi_vmin::check_report(&text).map_err(|message| io_msg(format!("{path}: {message}")))?;
         println!("{path}: OK (killi-vmin/v1)");
         return Ok(());
     }
@@ -768,12 +744,7 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
     // the special value `all` bins every registered scheme at defaults.
     let scheme_file = args.get_or("scheme-file", "");
     let schemes = if !scheme_file.is_empty() {
-        let text = std::fs::read_to_string(&scheme_file).map_err(|e| ArgError::Io {
-            message: format!("{scheme_file}: {e}"),
-        })?;
-        SchemeConfig::list_from_json(&text).map_err(|e| ArgError::Io {
-            message: format!("{scheme_file}: {e}"),
-        })?
+        read_scheme_file(&scheme_file)?
     } else if args.get_or("schemes", "killi") == "all" {
         default_registry()
             .descriptors()
@@ -799,9 +770,7 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
         store: (!store.is_empty()).then(|| std::path::PathBuf::from(&store)),
         search: SearchMode::Auto,
     };
-    let validated = config.validated().map_err(|e| ArgError::Io {
-        message: e.to_string(),
-    })?;
+    let validated = config.validated().map_err(|e| io_msg(e.to_string()))?;
     let c = validated.config();
     eprintln!(
         "vmin: {} dies x {} schemes over {} grid points ({} lines/die, target {:.2}%) \
@@ -813,9 +782,7 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
         c.target * 100.0,
         c.threads,
     );
-    let result = run_campaign(&validated).map_err(|e| ArgError::Io {
-        message: e.to_string(),
-    })?;
+    let result = run_campaign(&validated).map_err(|e| io_msg(e.to_string()))?;
     let report = &result.report;
 
     let fmt_vdd = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
@@ -859,12 +826,7 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
         m.get(VminCounter::StoreDiesRead),
         m.get(VminCounter::StoreBytesWritten),
     );
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(&out, report.to_json())?;
+    write_creating_dir(&out, report.to_json())?;
     println!("wrote {out}");
     Ok(())
 }
@@ -919,12 +881,7 @@ fn cmd_bench(args: &Args) -> Result<(), ArgError> {
         },
         report.summary_table().render()
     );
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(&out, report.to_json())?;
+    write_creating_dir(&out, report.to_json())?;
     println!("wrote {out}");
     Ok(())
 }
@@ -934,9 +891,7 @@ fn cmd_bench(args: &Args) -> Result<(), ArgError> {
 /// both suites — the perf suite's name set and the vmin campaign's
 /// (detected by the presence of a `vmin_campaign` entry).
 fn check_bench_report(path: &str) -> Result<(), ArgError> {
-    let bad = |message: String| ArgError::Io {
-        message: format!("{path}: {message}"),
-    };
+    let bad = |message: String| io_msg(format!("{path}: {message}"));
     let text = std::fs::read_to_string(path)?;
     let root = parse_json(&text).map_err(|e| bad(e.to_string()))?;
     let schema = root.get("schema").and_then(|v| v.as_str()).unwrap_or("");
@@ -981,9 +936,7 @@ const DFH_NAMES: [&str; 4] = ["stable0", "unknown", "stable1", "disabled"];
 fn cmd_stats(args: &Args) -> Result<(), ArgError> {
     let input = args.require("in", "stats")?;
     let text = std::fs::read_to_string(&input)?;
-    let root = parse_json(&text).map_err(|e| ArgError::Io {
-        message: format!("{input}: {e}"),
-    })?;
+    let root = parse_json(&text).map_err(|e| io_msg(format!("{input}: {e}")))?;
     // Accept both a single report and the json_array wrapper.
     let reports: Vec<&JsonValue> = match root.as_array() {
         Some(items) => items.iter().collect(),
@@ -998,19 +951,15 @@ fn cmd_stats(args: &Args) -> Result<(), ArgError> {
     for report in &reports {
         let schema = report.get("schema").and_then(|v| v.as_str()).unwrap_or("");
         if schema != "killi-sweep/v2" {
-            return Err(ArgError::Io {
-                message: format!(
-                    "{input}: schema '{schema}' is not killi-sweep/v2 (re-run the sweep \
+            return Err(io_msg(format!(
+                "{input}: schema '{schema}' is not killi-sweep/v2 (re-run the sweep \
                      with this version to get the per-cell obs block)"
-                ),
-            });
+            )));
         }
         let cells = report
             .get("cells")
             .and_then(|v| v.as_array())
-            .ok_or_else(|| ArgError::Io {
-                message: format!("{input}: report has no cells array"),
-            })?;
+            .ok_or_else(|| io_msg(format!("{input}: report has no cells array")))?;
         for cell in cells {
             let scheme = cell
                 .get("scheme")
@@ -1110,16 +1059,16 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
 
     let gpu = GpuConfig::default();
     let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
-    let map = if scheme.is_baseline() {
+    let map = if SchemeRegistry::is_baseline(&scheme) {
         Arc::new(FaultMap::fault_free(gpu.l2.lines()))
     } else {
-        let model = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
+        let model = build_fault_model(&fault_model)?;
         Arc::new(model.map(gpu.l2.lines(), NormVdd(vdd), FreqGhz::PEAK, seed))
     };
     let mut context = vec![("vdd", format!("{vdd}"))];
     // Mirror the sweep's gating: the default model stays silent so traces
     // keep their pre-registry bytes; any other model stamps its label.
-    let fm_label = fault_model_label(&fault_model).map_err(|e| io_msg(e.to_string()))?;
+    let fm_label = fault_model_label(&fault_model)?;
     if fm_label != STUCK_AT {
         context.push(("fault_model", fm_label));
     }
@@ -1147,9 +1096,7 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
 /// header carries the schema, and events carry `seq`/`type`.
 fn check_trace(path: &str) -> Result<(), ArgError> {
     let text = std::fs::read_to_string(path)?;
-    let bad = |line_no: usize, message: String| ArgError::Io {
-        message: format!("{path}:{line_no}: {message}"),
-    };
+    let bad = |line_no: usize, message: String| io_msg(format!("{path}:{line_no}: {message}"));
     let mut headers = 0usize;
     let mut events = 0usize;
     let mut expect_header = true;
@@ -1173,9 +1120,9 @@ fn check_trace(path: &str) -> Result<(), ArgError> {
         events += 1;
     }
     if headers == 0 {
-        return Err(ArgError::Io {
-            message: format!("{path}: empty trace (no killi-obs/v1 header)"),
-        });
+        return Err(io_msg(format!(
+            "{path}: empty trace (no killi-obs/v1 header)"
+        )));
     }
     println!("{path}: OK ({headers} header(s), {events} event(s))");
     Ok(())
@@ -1189,6 +1136,22 @@ fn io_msg(message: impl Into<String>) -> ArgError {
     ArgError::Io {
         message: message.into(),
     }
+}
+
+impl From<BuildError> for ArgError {
+    fn from(e: BuildError) -> Self {
+        io_msg(e.to_string())
+    }
+}
+
+/// Writes `bytes` to `path`, creating its parent directory first.
+fn write_creating_dir(path: &str, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    std::fs::write(path, bytes)
 }
 
 /// `killi serve`: the sweep engine as an HTTP daemon. The first stdout
@@ -1346,12 +1309,7 @@ fn cmd_fetch(args: &Args) -> Result<(), ArgError> {
         use std::io::Write as _;
         std::io::stdout().write_all(&resp.body)?;
     } else {
-        if let Some(dir) = std::path::Path::new(&out).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(&out, &resp.body)?;
+        write_creating_dir(&out, &resp.body)?;
         eprintln!("wrote {out} ({} bytes)", resp.body.len());
     }
     Ok(())

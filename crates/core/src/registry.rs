@@ -15,19 +15,37 @@
 //!   `{"name": "killi", "params": {"ratio": 16, "ecc_ways": 8}}`
 //! - programmatic: [`SchemeConfig::new`] + [`SchemeConfig::with`]
 //!
+//! Parsing, resolution, labels and canonical JSON are the registry core
+//! in [`killi_obs::params`], shared with the fault-model registry; this
+//! module adds the scheme descriptors, building and line admissibility.
 //! All failure modes are typed [`BuildError`]s — unknown schemes, unknown
 //! or ill-typed parameters, and geometry that cannot be built (e.g. an ECC
 //! cache smaller than one set) — never panics.
 
-use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use killi_fault::map::{layout, CellFault, FaultMap};
-use killi_obs::{escape_json, parse_json, JsonValue, Sink};
+use killi_obs::params::{Axis, AxisTag, Config, Descriptor, Registry};
+use killi_obs::{parse_json, JsonValue, Sink};
 use killi_sim::cache::CacheGeometry;
 use killi_sim::protection::{LineProtection, Unprotected};
 
 use crate::scheme::{KilliConfig, KilliScheme};
+
+pub use killi_obs::params::{BuildError, ParamSpec, ParamValue, ResolvedParams};
+
+/// The axis tag of scheme configs (see [`killi_obs::params::AxisTag`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchemeAxis {}
+
+impl AxisTag for SchemeAxis {
+    const AXIS: Axis = Axis::Scheme;
+}
+
+/// A declarative scheme instantiation: a registered name plus parameter
+/// overrides (unset parameters take the descriptor's defaults).
+pub type SchemeConfig = Config<SchemeAxis>;
 
 /// Everything a scheme needs at construction time: the die's fault map,
 /// the L2 geometry it protects, and the observability sink to attach.
@@ -56,320 +74,6 @@ impl BuildCtx {
     pub fn with_sink(mut self, sink: Sink) -> Self {
         self.sink = sink;
         self
-    }
-}
-
-/// The typed parameter value shared with the fault-model registry; see
-/// [`killi_obs::params`].
-pub use killi_obs::params::ParamValue;
-
-/// A declarative scheme instantiation: a registered name plus parameter
-/// overrides (unset parameters take the descriptor's defaults).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchemeConfig {
-    /// Registered scheme name.
-    pub name: String,
-    /// Parameter overrides, in declaration order.
-    pub params: Vec<(String, ParamValue)>,
-}
-
-impl SchemeConfig {
-    /// A config with no overrides.
-    pub fn new(name: &str) -> Self {
-        SchemeConfig {
-            name: name.to_string(),
-            params: Vec::new(),
-        }
-    }
-
-    /// Adds (or replaces) a parameter override.
-    #[must_use]
-    pub fn with(mut self, key: &str, value: ParamValue) -> Self {
-        if let Some(slot) = self.params.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            self.params.push((key.to_string(), value));
-        }
-        self
-    }
-
-    /// The override for `key`, if set.
-    pub fn get(&self, key: &str) -> Option<&ParamValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Whether this is the unprotected baseline (runs on a fault-free map
-    /// in matrix/sweep runs).
-    pub fn is_baseline(&self) -> bool {
-        self.name == "baseline"
-    }
-
-    /// Parses the CLI shorthand `name` or `name:key=value,key=value`.
-    pub fn parse(input: &str) -> Result<Self, BuildError> {
-        let input = input.trim();
-        let (name, rest) = match input.split_once(':') {
-            Some((name, rest)) => (name.trim(), Some(rest)),
-            None => (input, None),
-        };
-        if name.is_empty() {
-            return Err(BuildError::Parse {
-                input: input.to_string(),
-                reason: "empty scheme name".to_string(),
-            });
-        }
-        let mut config = SchemeConfig::new(name);
-        if let Some(rest) = rest {
-            for pair in rest.split(',') {
-                let Some((key, value)) = pair.split_once('=') else {
-                    return Err(BuildError::Parse {
-                        input: input.to_string(),
-                        reason: format!("parameter `{pair}` is not key=value"),
-                    });
-                };
-                let key = key.trim();
-                if key.is_empty() {
-                    return Err(BuildError::Parse {
-                        input: input.to_string(),
-                        reason: "empty parameter name".to_string(),
-                    });
-                }
-                config = config.with(key, ParamValue::parse(value.trim()));
-            }
-        }
-        Ok(config)
-    }
-
-    /// Parses a comma-separated list of CLI shorthands. A segment opens a
-    /// new scheme when it has no `=` or when a `:` precedes its first `=`
-    /// (so `killi:ratio=16,ecc_ways=8,dected` is two schemes).
-    pub fn parse_list(input: &str) -> Result<Vec<Self>, BuildError> {
-        let mut specs: Vec<String> = Vec::new();
-        for segment in input.split(',') {
-            let starts_scheme = match (segment.find('='), segment.find(':')) {
-                (None, _) => true,
-                (Some(eq), Some(colon)) => colon < eq,
-                (Some(_), None) => false,
-            };
-            match specs.last_mut() {
-                Some(last) if !starts_scheme => {
-                    last.push(',');
-                    last.push_str(segment);
-                }
-                _ => specs.push(segment.to_string()),
-            }
-        }
-        specs.iter().map(|s| SchemeConfig::parse(s)).collect()
-    }
-
-    /// Serializes as a JSON object: `{"name": ..., "params": {...}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"name\": \"{}\"", escape_json(&self.name));
-        if !self.params.is_empty() {
-            out.push_str(", \"params\": {");
-            for (i, (key, value)) in self.params.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", escape_json(key), value.to_json()));
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
-
-    /// A config from a parsed JSON object.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, BuildError> {
-        let parse_err = |reason: &str| BuildError::Parse {
-            input: "<json>".to_string(),
-            reason: reason.to_string(),
-        };
-        let Some(name) = v.get("name").and_then(JsonValue::as_str) else {
-            return Err(parse_err("scheme object needs a string `name`"));
-        };
-        let mut config = SchemeConfig::new(name);
-        match v.get("params") {
-            None | Some(JsonValue::Null) => {}
-            Some(JsonValue::Object(entries)) => {
-                for (key, value) in entries {
-                    let Some(value) = ParamValue::from_json(value) else {
-                        return Err(parse_err(&format!(
-                            "parameter `{key}` must be a number, bool or string"
-                        )));
-                    };
-                    config = config.with(key, value);
-                }
-            }
-            Some(_) => return Err(parse_err("`params` must be an object")),
-        }
-        Ok(config)
-    }
-
-    /// A config from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, BuildError> {
-        let v = parse_json(text).map_err(|e| BuildError::Parse {
-            input: "<json>".to_string(),
-            reason: e.to_string(),
-        })?;
-        Self::from_json_value(&v)
-    }
-
-    /// A scheme list from JSON text: either a bare array of scheme
-    /// objects or `{"schemes": [...]}`.
-    pub fn list_from_json(text: &str) -> Result<Vec<Self>, BuildError> {
-        let v = parse_json(text).map_err(|e| BuildError::Parse {
-            input: "<json>".to_string(),
-            reason: e.to_string(),
-        })?;
-        let items = v
-            .as_array()
-            .or_else(|| v.get("schemes").and_then(JsonValue::as_array))
-            .ok_or_else(|| BuildError::Parse {
-                input: "<json>".to_string(),
-                reason: "expected a scheme array or {\"schemes\": [...]}".to_string(),
-            })?;
-        items.iter().map(Self::from_json_value).collect()
-    }
-}
-
-impl fmt::Display for SchemeConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)?;
-        for (i, (key, value)) in self.params.iter().enumerate() {
-            write!(f, "{}{key}={value}", if i == 0 { ":" } else { "," })?;
-        }
-        Ok(())
-    }
-}
-
-/// Why a [`SchemeConfig`] could not be resolved or built.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BuildError {
-    /// The config text (CLI shorthand or JSON) did not parse.
-    Parse {
-        /// The offending input.
-        input: String,
-        /// What went wrong.
-        reason: String,
-    },
-    /// No descriptor registered under this name.
-    UnknownScheme {
-        /// The unregistered name.
-        name: String,
-    },
-    /// The scheme has no such parameter.
-    UnknownParam {
-        /// Scheme name.
-        scheme: String,
-        /// The unrecognized parameter.
-        param: String,
-    },
-    /// A parameter had the wrong type or an out-of-range value.
-    InvalidParam {
-        /// Scheme name.
-        scheme: String,
-        /// Parameter name.
-        param: String,
-        /// What went wrong.
-        reason: String,
-    },
-    /// The parameters are individually fine but describe an unbuildable
-    /// configuration (e.g. an ECC cache smaller than one set).
-    Geometry {
-        /// Scheme name.
-        scheme: String,
-        /// What went wrong.
-        reason: String,
-    },
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::Parse { input, reason } => {
-                write!(f, "cannot parse scheme `{input}`: {reason}")
-            }
-            BuildError::UnknownScheme { name } => write!(f, "unknown scheme `{name}`"),
-            BuildError::UnknownParam { scheme, param } => {
-                write!(f, "scheme `{scheme}` has no parameter `{param}`")
-            }
-            BuildError::InvalidParam {
-                scheme,
-                param,
-                reason,
-            } => write!(f, "invalid `{scheme}` parameter `{param}`: {reason}"),
-            BuildError::Geometry { scheme, reason } => {
-                write!(f, "cannot build `{scheme}`: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-/// One declared parameter of a scheme.
-#[derive(Debug, Clone)]
-pub struct ParamSpec {
-    /// Parameter name (the `key` in `key=value`).
-    pub name: &'static str,
-    /// One-line description for `killi schemes`.
-    pub doc: &'static str,
-    /// Default value (also fixes the expected type).
-    pub default: ParamValue,
-}
-
-/// Parameters of one config after defaulting and type coercion.
-#[derive(Debug, Clone)]
-pub struct ResolvedParams {
-    scheme: &'static str,
-    values: Vec<(&'static str, ParamValue)>,
-}
-
-impl ResolvedParams {
-    /// The scheme name these parameters resolve.
-    pub fn scheme(&self) -> &'static str {
-        self.scheme
-    }
-
-    fn get(&self, key: &str) -> &ParamValue {
-        self.values
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("scheme `{}` has no `{key}` parameter", self.scheme))
-    }
-
-    /// An integer parameter (registry-validated to exist and be U64).
-    pub fn u64(&self, key: &str) -> u64 {
-        match self.get(key) {
-            ParamValue::U64(v) => *v,
-            other => panic!("parameter `{key}` is not u64: {other:?}"),
-        }
-    }
-
-    /// A float parameter.
-    pub fn f64(&self, key: &str) -> f64 {
-        match self.get(key) {
-            ParamValue::F64(v) => *v,
-            ParamValue::U64(v) => *v as f64,
-            other => panic!("parameter `{key}` is not f64: {other:?}"),
-        }
-    }
-
-    /// A boolean parameter.
-    pub fn bool(&self, key: &str) -> bool {
-        match self.get(key) {
-            ParamValue::Bool(v) => *v,
-            other => panic!("parameter `{key}` is not bool: {other:?}"),
-        }
-    }
-
-    /// A string parameter.
-    pub fn str(&self, key: &str) -> &str {
-        match self.get(key) {
-            ParamValue::Str(v) => v,
-            other => panic!("parameter `{key}` is not a string: {other:?}"),
-        }
     }
 }
 
@@ -470,6 +174,7 @@ pub type BuildFn = fn(&ResolvedParams, &BuildCtx) -> Result<Box<dyn LineProtecti
 
 /// A registered scheme: name, documentation, parameter schema, and the
 /// label/build functions.
+#[derive(Debug)]
 pub struct SchemeDescriptor {
     /// Registered name (what `--scheme` selects).
     pub name: &'static str,
@@ -488,19 +193,44 @@ pub struct SchemeDescriptor {
     pub admissibility: fn(&ResolvedParams) -> LineRule,
 }
 
-impl fmt::Debug for SchemeDescriptor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchemeDescriptor")
-            .field("name", &self.name)
-            .field("params", &self.params)
-            .finish()
+impl Descriptor for SchemeDescriptor {
+    type Tag = SchemeAxis;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn doc(&self) -> &'static str {
+        self.doc
+    }
+
+    fn params(&self) -> &[ParamSpec] {
+        &self.params
+    }
+
+    fn label(&self, params: &ResolvedParams) -> String {
+        (self.label)(params)
     }
 }
 
-/// The ordered collection of registered schemes.
+/// The ordered collection of registered schemes: the shared
+/// [`Registry`] core (resolution, labels, canonical JSON), plus building
+/// and the scheme-only helpers.
 #[derive(Debug, Default)]
-pub struct SchemeRegistry {
-    schemes: Vec<SchemeDescriptor>,
+pub struct SchemeRegistry(Registry<SchemeDescriptor>);
+
+impl Deref for SchemeRegistry {
+    type Target = Registry<SchemeDescriptor>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for SchemeRegistry {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl SchemeRegistry {
@@ -509,118 +239,9 @@ impl SchemeRegistry {
         SchemeRegistry::default()
     }
 
-    /// Registers a descriptor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate name — registrations are code, not data.
-    pub fn register(&mut self, descriptor: SchemeDescriptor) {
-        assert!(
-            self.descriptor(descriptor.name).is_none(),
-            "scheme `{}` registered twice",
-            descriptor.name
-        );
-        self.schemes.push(descriptor);
-    }
-
-    /// The descriptor registered under `name`.
-    pub fn descriptor(&self, name: &str) -> Option<&SchemeDescriptor> {
-        self.schemes.iter().find(|d| d.name == name)
-    }
-
-    /// All descriptors, in registration order.
-    pub fn descriptors(&self) -> &[SchemeDescriptor] {
-        &self.schemes
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.schemes.iter().map(|d| d.name).collect()
-    }
-
-    /// Resolves a config against its descriptor: every override must name
-    /// a declared parameter and coerce to its default's type.
-    pub fn resolve(&self, config: &SchemeConfig) -> Result<ResolvedParams, BuildError> {
-        let descriptor =
-            self.descriptor(&config.name)
-                .ok_or_else(|| BuildError::UnknownScheme {
-                    name: config.name.clone(),
-                })?;
-        for (key, _) in &config.params {
-            if !descriptor.params.iter().any(|p| p.name == key) {
-                return Err(BuildError::UnknownParam {
-                    scheme: config.name.clone(),
-                    param: key.clone(),
-                });
-            }
-        }
-        let mut values = Vec::with_capacity(descriptor.params.len());
-        for spec in &descriptor.params {
-            let value = match config.get(spec.name) {
-                None => spec.default.clone(),
-                Some(over) => {
-                    over.coerce_to(&spec.default)
-                        .ok_or_else(|| BuildError::InvalidParam {
-                            scheme: config.name.clone(),
-                            param: spec.name.to_string(),
-                            reason: format!(
-                                "expected {} (default {}), got `{over}`",
-                                spec.default.type_name(),
-                                spec.default
-                            ),
-                        })?
-                }
-            };
-            values.push((spec.name, value));
-        }
-        Ok(ResolvedParams {
-            scheme: descriptor.name,
-            values,
-        })
-    }
-
-    /// Validates a config without building it.
-    pub fn validate(&self, config: &SchemeConfig) -> Result<(), BuildError> {
-        self.resolve(config).map(|_| ())
-    }
-
-    /// The report label of a config.
-    pub fn label(&self, config: &SchemeConfig) -> Result<String, BuildError> {
-        let resolved = self.resolve(config)?;
-        let descriptor = self.descriptor(&config.name).expect("resolved above");
-        Ok((descriptor.label)(&resolved))
-    }
-
-    /// Normalizes a config to its canonical spelling: every declared
-    /// parameter spelled explicitly, in descriptor declaration order,
-    /// with values coerced to the declared type. Any two configs that
-    /// resolve to the same scheme — CLI shorthand, expanded JSON,
-    /// reordered keys, defaults spelled out or omitted — canonicalize
-    /// to equal [`SchemeConfig`]s, which is what content-addressed
-    /// caching keys on.
-    pub fn canonicalize(&self, config: &SchemeConfig) -> Result<SchemeConfig, BuildError> {
-        let resolved = self.resolve(config)?;
-        Ok(SchemeConfig {
-            name: resolved.scheme.to_string(),
-            params: resolved
-                .values
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        })
-    }
-
-    /// The canonical JSON spelling of a config (see
-    /// [`SchemeRegistry::canonicalize`]): equal schemes produce
-    /// byte-identical JSON, suitable for hashing into a cache key.
-    pub fn canonical_json(&self, config: &SchemeConfig) -> Result<String, BuildError> {
-        Ok(self.canonicalize(config)?.to_json())
-    }
-
     /// The static line-admissibility rule of a config (see [`LineRule`]).
     pub fn admissibility(&self, config: &SchemeConfig) -> Result<LineRule, BuildError> {
-        let resolved = self.resolve(config)?;
-        let descriptor = self.descriptor(&config.name).expect("resolved above");
+        let (descriptor, resolved) = self.resolve(config)?;
         Ok((descriptor.admissibility)(&resolved))
     }
 
@@ -630,20 +251,52 @@ impl SchemeRegistry {
         config: &SchemeConfig,
         ctx: &BuildCtx,
     ) -> Result<Box<dyn LineProtection>, BuildError> {
-        let resolved = self.resolve(config)?;
-        let descriptor = self.descriptor(&config.name).expect("resolved above");
+        let (descriptor, resolved) = self.resolve(config)?;
         let mut scheme = (descriptor.build)(&resolved, ctx)?;
         scheme.attach_sink(ctx.sink.clone());
         Ok(scheme)
     }
-}
 
-/// Shared parameter spec for the ECC-cache ratio.
-fn ratio_param(default: u64) -> ParamSpec {
-    ParamSpec {
-        name: "ratio",
-        doc: "L2 lines per ECC-cache entry (1:N)",
-        default: ParamValue::U64(default),
+    /// Whether a config names the unprotected baseline (runs on a
+    /// fault-free map in matrix/sweep runs).
+    pub fn is_baseline(config: &SchemeConfig) -> bool {
+        config.name == "baseline"
+    }
+
+    /// Parses a comma-separated list of CLI shorthands. A segment opens a
+    /// new scheme when it has no `=` or when a `:` precedes its first `=`
+    /// (so `killi:ratio=16,ecc_ways=8,dected` is two schemes).
+    pub fn parse_list(input: &str) -> Result<Vec<SchemeConfig>, BuildError> {
+        let mut specs: Vec<String> = Vec::new();
+        for segment in input.split(',') {
+            let starts_scheme = match (segment.find('='), segment.find(':')) {
+                (None, _) => true,
+                (Some(eq), Some(colon)) => colon < eq,
+                (Some(_), None) => false,
+            };
+            match specs.last_mut() {
+                Some(last) if !starts_scheme => {
+                    last.push(',');
+                    last.push_str(segment);
+                }
+                _ => specs.push(segment.to_string()),
+            }
+        }
+        specs.iter().map(|s| SchemeConfig::parse(s)).collect()
+    }
+
+    /// A scheme list from JSON text: either a bare array of scheme
+    /// objects or `{"schemes": [...]}`.
+    pub fn list_from_json(text: &str) -> Result<Vec<SchemeConfig>, BuildError> {
+        let v = parse_json(text).map_err(|e| SchemeConfig::parse_error("<json>", e.to_string()))?;
+        let items = v
+            .as_array()
+            .or_else(|| v.get("schemes").and_then(JsonValue::as_array))
+            .ok_or_else(|| {
+                let reason = "expected a scheme array or {\"schemes\": [...]}";
+                SchemeConfig::parse_error("<json>", reason)
+            })?;
+        items.iter().map(SchemeConfig::from_json_value).collect()
     }
 }
 
@@ -655,64 +308,48 @@ fn killi_geometry(p: &ResolvedParams, lines: usize) -> Result<(usize, usize), Bu
     let ratio = if sets > 0 {
         let entries = sets * ways;
         if entries == 0 || !lines.is_multiple_of(entries) {
-            return Err(BuildError::Geometry {
-                scheme: p.scheme().to_string(),
-                reason: format!(
-                    "ecc_sets={sets} x ecc_ways={ways} does not divide {lines} L2 lines"
-                ),
-            });
+            return Err(p.unbuildable(format!(
+                "ecc_sets={sets} x ecc_ways={ways} does not divide {lines} L2 lines"
+            )));
         }
         lines / entries
     } else {
         p.u64("ratio") as usize
     };
     if ratio == 0 {
-        return Err(BuildError::Geometry {
-            scheme: p.scheme().to_string(),
-            reason: "ratio must be positive".to_string(),
-        });
+        return Err(p.unbuildable("ratio must be positive"));
     }
     Ok((ratio, ways))
 }
 
-/// Builds a [`KilliConfig`] from resolved core parameters.
-fn killi_config(
+/// Builds a Killi-family scheme: the paper's configuration with the
+/// resolved ECC-cache geometry and check latency, adjusted by `tweak`;
+/// geometry failures become typed errors.
+fn build_killi(
     p: &ResolvedParams,
-    base: KilliConfig,
-    lines: usize,
-) -> Result<KilliConfig, BuildError> {
-    let (ratio, ways) = killi_geometry(p, lines)?;
-    let mut config = KilliConfig {
-        ecc_cache: crate::ecc_cache::EccCacheConfig { ratio, ways },
-        ..base
-    };
-    config.check_latency = p.u64("check_latency") as u32;
-    Ok(config)
-}
-
-/// Wraps a built [`KilliScheme`] construction, mapping geometry failures.
-fn build_killi_scheme(
-    p: &ResolvedParams,
-    config: KilliConfig,
     ctx: &BuildCtx,
+    tweak: impl FnOnce(&mut KilliConfig),
 ) -> Result<Box<dyn LineProtection>, BuildError> {
-    let scheme = KilliScheme::try_new(
-        config,
-        Arc::clone(&ctx.fault_map),
-        ctx.geometry.lines(),
-        ctx.geometry.ways,
-    )
-    .map_err(|reason| BuildError::Geometry {
-        scheme: p.scheme().to_string(),
-        reason,
-    })?;
+    let lines = ctx.geometry.lines();
+    let (ratio, ways) = killi_geometry(p, lines)?;
+    let mut config = KilliConfig::with_ratio(ratio);
+    config.ecc_cache.ways = ways;
+    config.check_latency = p.u64("check_latency") as u32;
+    tweak(&mut config);
+    let fault_map = Arc::clone(&ctx.fault_map);
+    let scheme = KilliScheme::try_new(config, fault_map, lines, ctx.geometry.ways)
+        .map_err(|reason| p.unbuildable(reason))?;
     Ok(Box::new(scheme))
 }
 
 /// Parameter schema shared by every Killi-family descriptor.
 fn killi_core_params(default_ratio: u64) -> Vec<ParamSpec> {
     vec![
-        ratio_param(default_ratio),
+        ParamSpec {
+            name: "ratio",
+            doc: "L2 lines per ECC-cache entry (1:N)",
+            default: ParamValue::U64(default_ratio),
+        },
         ParamSpec {
             name: "ecc_sets",
             doc: "explicit ECC-cache set count (0 = derive from ratio)",
@@ -803,11 +440,11 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
             label
         },
         build: |p, ctx| {
-            let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
-            config.victim_priority = p.bool("victim_priority");
-            config.eviction_training = p.bool("eviction_training");
-            config.coordinated_promotion = p.bool("coordinated_promotion");
-            build_killi_scheme(p, config, ctx)
+            build_killi(p, ctx, |c| {
+                c.victim_priority = p.bool("victim_priority");
+                c.eviction_training = p.bool("eviction_training");
+                c.coordinated_promotion = p.bool("coordinated_promotion");
+            })
         },
         // §4.4's policy switches change *when* lines are learned, never
         // which lines are ultimately usable: SECDED in the ECC cache keeps
@@ -820,11 +457,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi ablation: §4.4 victim priority off",
         params: killi_core_params(64),
         label: |_| "killi-no-victim-prio".to_string(),
-        build: |p, ctx| {
-            let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
-            config.victim_priority = false;
-            build_killi_scheme(p, config, ctx)
-        },
+        build: |p, ctx| build_killi(p, ctx, |c| c.victim_priority = false),
         admissibility: |_| KILLI_RULE,
     });
 
@@ -833,11 +466,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi ablation: §4.4 eviction training off",
         params: killi_core_params(64),
         label: |_| "killi-no-evict-train".to_string(),
-        build: |p, ctx| {
-            let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
-            config.eviction_training = false;
-            build_killi_scheme(p, config, ctx)
-        },
+        build: |p, ctx| build_killi(p, ctx, |c| c.eviction_training = false),
         admissibility: |_| KILLI_RULE,
     });
 
@@ -846,11 +475,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi ablation: §4.4 coordinated promotion off",
         params: killi_core_params(64),
         label: |_| "killi-no-promotion".to_string(),
-        build: |p, ctx| {
-            let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
-            config.coordinated_promotion = false;
-            build_killi_scheme(p, config, ctx)
-        },
+        build: |p, ctx| build_killi(p, ctx, |c| c.coordinated_promotion = false),
         admissibility: |_| KILLI_RULE,
     });
 
@@ -859,11 +484,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi + §5.2 DEC-TED upgrade (two-fault lines stay usable)",
         params: killi_core_params(64),
         label: |p| killi_label("killi-dected", p),
-        build: |p, ctx| {
-            let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
-            config.dected_upgrade = true;
-            build_killi_scheme(p, config, ctx)
-        },
+        build: |p, ctx| build_killi(p, ctx, |c| c.dected_upgrade = true),
         admissibility: |_| LineRule::Total {
             span: CellSpan::DataParity4,
             max_faults: 2,
@@ -884,10 +505,10 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         },
         label: |p| killi_label("killi-invchk", p),
         build: |p, ctx| {
-            let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
-            config.inverted_write_check = true;
-            config.inverted_check_penalty = p.u64("penalty") as u32;
-            build_killi_scheme(p, config, ctx)
+            build_killi(p, ctx, |c| {
+                c.inverted_write_check = true;
+                c.inverted_check_penalty = p.u64("penalty") as u32;
+            })
         },
         admissibility: |_| KILLI_RULE,
     });
@@ -897,11 +518,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi + §5.5 OLSC(8, 2) payloads (the low-Vmin chaser)",
         params: killi_core_params(8),
         label: |p| killi_label("killi-olsc", p),
-        build: |p, ctx| {
-            let mut config = killi_config(p, KilliConfig::with_olsc(1), ctx.geometry.lines())?;
-            config.olsc_mode = true;
-            build_killi_scheme(p, config, ctx)
-        },
+        build: |p, ctx| build_killi(p, ctx, |c| c.olsc_mode = true),
         // OLSC(8, 2) payloads: 64-cell data blocks, 2 corrections each.
         admissibility: |_| LineRule::PerBlock {
             block_cells: 64,
@@ -932,36 +549,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_shorthand_with_typed_values() {
-        let c = SchemeConfig::parse("killi:ratio=16,victim_priority=false").unwrap();
-        assert_eq!(c.name, "killi");
-        assert_eq!(c.get("ratio"), Some(&ParamValue::U64(16)));
-        assert_eq!(c.get("victim_priority"), Some(&ParamValue::Bool(false)));
-        assert_eq!(c.to_string(), "killi:ratio=16,victim_priority=false");
-    }
-
-    #[test]
     fn parse_list_splits_on_scheme_starts() {
-        let list = SchemeConfig::parse_list("killi:ratio=16,ecc_ways=8,dected,flair").unwrap();
+        let list = SchemeRegistry::parse_list("killi:ratio=16,ecc_ways=8,dected,flair").unwrap();
         let names: Vec<&str> = list.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["killi", "dected", "flair"]);
         assert_eq!(list[0].get("ecc_ways"), Some(&ParamValue::U64(8)));
 
-        let list = SchemeConfig::parse_list("dected,killi:ratio=32").unwrap();
+        let list = SchemeRegistry::parse_list("dected,killi:ratio=32").unwrap();
         assert_eq!(list.len(), 2);
         assert_eq!(list[1].get("ratio"), Some(&ParamValue::U64(32)));
-    }
-
-    #[test]
-    fn malformed_shorthand_is_a_typed_error() {
-        assert!(matches!(
-            SchemeConfig::parse("killi:ratio"),
-            Err(BuildError::Parse { .. })
-        ));
-        assert!(matches!(
-            SchemeConfig::parse(""),
-            Err(BuildError::Parse { .. })
-        ));
     }
 
     #[test]
@@ -969,7 +565,8 @@ mod tests {
         let reg = registry();
         assert_eq!(
             reg.validate(&SchemeConfig::new("frobnicate")),
-            Err(BuildError::UnknownScheme {
+            Err(BuildError::Unknown {
+                axis: Axis::Scheme,
                 name: "frobnicate".to_string()
             })
         );
@@ -991,15 +588,15 @@ mod tests {
         // ways > entries: the ECC cache would be smaller than one set.
         let cfg = SchemeConfig::parse("killi:ratio=1024,ecc_ways=8").unwrap();
         let err = reg.build(&cfg, &ctx(1024)).map(|_| ()).unwrap_err();
-        assert!(matches!(err, BuildError::Geometry { .. }), "{err}");
+        assert!(matches!(err, BuildError::Unbuildable { .. }), "{err}");
         // Explicit sets x ways that do not tile the L2.
         let cfg = SchemeConfig::parse("killi:ecc_sets=3,ecc_ways=4").unwrap();
         let err = reg.build(&cfg, &ctx(1024)).map(|_| ()).unwrap_err();
-        assert!(matches!(err, BuildError::Geometry { .. }), "{err}");
+        assert!(matches!(err, BuildError::Unbuildable { .. }), "{err}");
         // ratio = 0.
         let cfg = SchemeConfig::parse("killi:ratio=0").unwrap();
         let err = reg.build(&cfg, &ctx(1024)).map(|_| ()).unwrap_err();
-        assert!(matches!(err, BuildError::Geometry { .. }), "{err}");
+        assert!(matches!(err, BuildError::Unbuildable { .. }), "{err}");
     }
 
     #[test]
@@ -1052,14 +649,14 @@ mod tests {
             cfg.to_json(),
             SchemeConfig::new("baseline").to_json()
         );
-        let list = SchemeConfig::list_from_json(&list_json).unwrap();
+        let list = SchemeRegistry::list_from_json(&list_json).unwrap();
         assert_eq!(list.len(), 2);
         assert_eq!(list[0], cfg);
-        assert!(list[1].is_baseline());
+        assert!(SchemeRegistry::is_baseline(&list[1]));
     }
 
     #[test]
-    fn canonicalize_unifies_every_spelling() {
+    fn every_spelling_canonicalizes_identically() {
         let reg = registry();
         // Shorthand, expanded JSON, reordered keys, and explicit
         // defaults are all the same scheme, so they must canonicalize
@@ -1085,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_spells_every_declared_param() {
+    fn canonical_form_spells_every_declared_param() {
         let reg = registry();
         let canon = reg
             .canonicalize(&SchemeConfig::parse("killi:ratio=16").unwrap())
@@ -1100,11 +697,11 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_rejects_what_resolve_rejects() {
+    fn canonicalization_rejects_what_resolution_rejects() {
         let reg = registry();
         assert!(matches!(
             reg.canonicalize(&SchemeConfig::new("frobnicate")),
-            Err(BuildError::UnknownScheme { .. })
+            Err(BuildError::Unknown { .. })
         ));
         assert!(matches!(
             reg.canonicalize(&SchemeConfig::new("killi").with("rato", ParamValue::U64(1))),
@@ -1150,7 +747,7 @@ mod tests {
         );
         assert!(matches!(
             reg.admissibility(&SchemeConfig::new("frobnicate")),
-            Err(BuildError::UnknownScheme { .. })
+            Err(BuildError::Unknown { .. })
         ));
     }
 
@@ -1200,7 +797,7 @@ mod tests {
             Err(BuildError::Parse { .. })
         ));
         assert!(matches!(
-            SchemeConfig::list_from_json("{\"name\": \"killi\"}"),
+            SchemeRegistry::list_from_json("{\"name\": \"killi\"}"),
             Err(BuildError::Parse { .. })
         ));
     }

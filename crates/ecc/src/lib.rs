@@ -8,8 +8,6 @@
 //!   4-segment stable mode, §4.1),
 //! - [`secded`] — SECDED(523, 512) extended Hamming code (11 checkbits),
 //! - [`bch`] — DEC-TED shortened BCH over GF(2^10) (21 checkbits, §5.2),
-//! - [`bch_t`] — generic t-error-correcting BCH with Berlekamp-Massey
-//!   decoding (functional TECQED and 6EC7ED, Table 4),
 //! - [`olsc`] — Orthogonal Latin Square codes with majority-logic decoding
 //!   (MS-ECC and the low-Vmin Killi variant, §5.5),
 //! - [`gf1024`] — the GF(2^10) field arithmetic behind the BCH code.
@@ -37,7 +35,6 @@
 //! ```
 
 pub mod bch;
-pub mod bch_t;
 pub mod bits;
 pub mod gf1024;
 pub mod olsc;

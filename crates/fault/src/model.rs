@@ -1,9 +1,9 @@
 //! Data-driven fault models: declarative [`FaultModelConfig`]s resolved
 //! against a [`FaultModelRegistry`] of [`FaultModelDescriptor`]s.
 //!
-//! The registry is the fault-side twin of the protection-side
-//! `SchemeRegistry`: the single place fault-model names, parameters and
-//! defaults live. Everything that used to hard-code the one parametric
+//! The registry is the single place fault-model names, parameters and
+//! defaults live, the fault-side counterpart of the protection-side
+//! `SchemeRegistry`. Everything that used to hard-code the one parametric
 //! stuck-at model (`CellFailureModel::finfet14` + `FaultMap::build`) goes
 //! through [`FaultModelRegistry::build`], so a new fault distribution —
 //! row/column clustering, transient overlays, measured CDFs — is one
@@ -15,6 +15,11 @@
 //! - JSON (via the in-repo `killi-obs` parser):
 //!   `{"name": "clustered", "params": {"rows": 4, "corr": 0.8}}`
 //! - programmatic: [`FaultModelConfig::new`] + [`FaultModelConfig::with`]
+//!
+//! Parsing, resolution, labels and canonical JSON are the registry core
+//! in [`killi_obs::params`], shared with the scheme registry; this module
+//! adds the fault-model descriptors, building, and the `table` model's
+//! canonicalization hook.
 //!
 //! A built model is a [`FaultModel`]: a *pure function* from
 //! `(lines, vdd, freq, die_seed)` to a [`FaultMap`]. Determinism is part
@@ -34,14 +39,35 @@
 //! | `table`    | stuck-at drawn from a measured CDF (inline or from file) | yes |
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
-use killi_obs::params::ParamValue;
-use killi_obs::{escape_json, parse_json, JsonValue};
+use killi_obs::params::{
+    Axis, AxisTag, CanonicalizeFn, Config, DefaultEntry, Descriptor, ParamValue, Registry,
+};
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use crate::map::{layout, standard_normal, CellFault, DieFaultTable, FaultMap, MapOptions};
 use crate::rng::{hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold};
+
+pub use killi_obs::params::{BuildError, ParamSpec, ResolvedParams};
+
+/// The axis tag of fault-model configs (see [`killi_obs::params::AxisTag`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultModelAxis {}
+
+impl AxisTag for FaultModelAxis {
+    const AXIS: Axis = Axis::FaultModel;
+}
+
+/// The paper's model, `stuck-at`, is what [`FaultModelConfig::default`] names.
+impl DefaultEntry for FaultModelAxis {
+    const NAME: &'static str = STUCK_AT;
+}
+
+/// A declarative fault-model instantiation: a registered name plus
+/// parameter overrides (unset parameters take the descriptor's defaults).
+pub type FaultModelConfig = Config<FaultModelAxis>;
 
 /// A deterministic fault-population generator.
 ///
@@ -95,294 +121,13 @@ pub trait ReplicateDie: Send + Sync {
     fn map_at(&self, vdd: NormVdd) -> FaultMap;
 }
 
-/// A declarative fault-model instantiation: a registered name plus
-/// parameter overrides (unset parameters take the descriptor's defaults).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultModelConfig {
-    /// Registered model name.
-    pub name: String,
-    /// Parameter overrides, in declaration order.
-    pub params: Vec<(String, ParamValue)>,
-}
-
-impl Default for FaultModelConfig {
-    /// The paper's model: `stuck-at` with no overrides.
-    fn default() -> Self {
-        FaultModelConfig::new(STUCK_AT)
-    }
-}
-
-impl FaultModelConfig {
-    /// A config with no overrides.
-    pub fn new(name: &str) -> Self {
-        FaultModelConfig {
-            name: name.to_string(),
-            params: Vec::new(),
-        }
-    }
-
-    /// Adds (or replaces) a parameter override.
-    #[must_use]
-    pub fn with(mut self, key: &str, value: ParamValue) -> Self {
-        if let Some(slot) = self.params.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            self.params.push((key.to_string(), value));
-        }
-        self
-    }
-
-    /// The override for `key`, if set.
-    pub fn get(&self, key: &str) -> Option<&ParamValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Parses the CLI shorthand `name` or `name:key=value,key=value`.
-    pub fn parse(input: &str) -> Result<Self, BuildError> {
-        let input = input.trim();
-        let (name, rest) = match input.split_once(':') {
-            Some((name, rest)) => (name.trim(), Some(rest)),
-            None => (input, None),
-        };
-        if name.is_empty() {
-            return Err(BuildError::Parse {
-                input: input.to_string(),
-                reason: "empty fault-model name".to_string(),
-            });
-        }
-        let mut config = FaultModelConfig::new(name);
-        if let Some(rest) = rest {
-            for pair in rest.split(',') {
-                let Some((key, value)) = pair.split_once('=') else {
-                    return Err(BuildError::Parse {
-                        input: input.to_string(),
-                        reason: format!("parameter `{pair}` is not key=value"),
-                    });
-                };
-                let key = key.trim();
-                if key.is_empty() {
-                    return Err(BuildError::Parse {
-                        input: input.to_string(),
-                        reason: "empty parameter name".to_string(),
-                    });
-                }
-                config = config.with(key, ParamValue::parse(value.trim()));
-            }
-        }
-        Ok(config)
-    }
-
-    /// Serializes as a JSON object: `{"name": ..., "params": {...}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"name\": \"{}\"", escape_json(&self.name));
-        if !self.params.is_empty() {
-            out.push_str(", \"params\": {");
-            for (i, (key, value)) in self.params.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", escape_json(key), value.to_json()));
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
-
-    /// A config from a parsed JSON object.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, BuildError> {
-        let parse_err = |reason: &str| BuildError::Parse {
-            input: "<json>".to_string(),
-            reason: reason.to_string(),
-        };
-        let Some(name) = v.get("name").and_then(JsonValue::as_str) else {
-            return Err(parse_err("fault-model object needs a string `name`"));
-        };
-        let mut config = FaultModelConfig::new(name);
-        match v.get("params") {
-            None | Some(JsonValue::Null) => {}
-            Some(JsonValue::Object(entries)) => {
-                for (key, value) in entries {
-                    let Some(value) = ParamValue::from_json(value) else {
-                        return Err(parse_err(&format!(
-                            "parameter `{key}` must be a number, bool or string"
-                        )));
-                    };
-                    config = config.with(key, value);
-                }
-            }
-            Some(_) => return Err(parse_err("`params` must be an object")),
-        }
-        Ok(config)
-    }
-
-    /// A config from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, BuildError> {
-        let v = parse_json(text).map_err(|e| BuildError::Parse {
-            input: "<json>".to_string(),
-            reason: e.to_string(),
-        })?;
-        Self::from_json_value(&v)
-    }
-}
-
-impl fmt::Display for FaultModelConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)?;
-        for (i, (key, value)) in self.params.iter().enumerate() {
-            write!(f, "{}{key}={value}", if i == 0 { ":" } else { "," })?;
-        }
-        Ok(())
-    }
-}
-
-/// Why a [`FaultModelConfig`] could not be resolved or built.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BuildError {
-    /// The config text (CLI shorthand or JSON) did not parse.
-    Parse {
-        /// The offending input.
-        input: String,
-        /// What went wrong.
-        reason: String,
-    },
-    /// No descriptor registered under this name.
-    UnknownModel {
-        /// The unregistered name.
-        name: String,
-    },
-    /// The model has no such parameter.
-    UnknownParam {
-        /// Model name.
-        model: String,
-        /// The unrecognized parameter.
-        param: String,
-    },
-    /// A parameter had the wrong type or an out-of-range value.
-    InvalidParam {
-        /// Model name.
-        model: String,
-        /// Parameter name.
-        param: String,
-        /// What went wrong.
-        reason: String,
-    },
-    /// The parameters are individually fine but do not yield a buildable
-    /// model (e.g. a parameter file that cannot be read or parsed).
-    Model {
-        /// Model name.
-        model: String,
-        /// What went wrong.
-        reason: String,
-    },
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::Parse { input, reason } => {
-                write!(f, "cannot parse fault model `{input}`: {reason}")
-            }
-            BuildError::UnknownModel { name } => write!(f, "unknown fault model `{name}`"),
-            BuildError::UnknownParam { model, param } => {
-                write!(f, "fault model `{model}` has no parameter `{param}`")
-            }
-            BuildError::InvalidParam {
-                model,
-                param,
-                reason,
-            } => write!(f, "invalid `{model}` parameter `{param}`: {reason}"),
-            BuildError::Model { model, reason } => {
-                write!(f, "cannot build fault model `{model}`: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-/// One declared parameter of a fault model.
-#[derive(Debug, Clone)]
-pub struct ParamSpec {
-    /// Parameter name (the `key` in `key=value`).
-    pub name: &'static str,
-    /// One-line description for `killi fault-models`.
-    pub doc: &'static str,
-    /// Default value (also fixes the expected type).
-    pub default: ParamValue,
-}
-
-/// Parameters of one config after defaulting and type coercion.
-#[derive(Debug, Clone)]
-pub struct ResolvedParams {
-    model: &'static str,
-    values: Vec<(&'static str, ParamValue)>,
-}
-
-impl ResolvedParams {
-    /// The model name these parameters resolve.
-    pub fn model(&self) -> &'static str {
-        self.model
-    }
-
-    fn get(&self, key: &str) -> &ParamValue {
-        self.values
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("fault model `{}` has no `{key}` parameter", self.model))
-    }
-
-    /// Replaces the value of a declared parameter (canonicalization hooks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter is not declared.
-    pub fn set(&mut self, key: &str, value: ParamValue) {
-        let slot = self
-            .values
-            .iter_mut()
-            .find(|(k, _)| *k == key)
-            .unwrap_or_else(|| panic!("fault model `{}` has no `{key}` parameter", self.model));
-        slot.1 = value;
-    }
-
-    /// An integer parameter (registry-validated to exist and be U64).
-    pub fn u64(&self, key: &str) -> u64 {
-        match self.get(key) {
-            ParamValue::U64(v) => *v,
-            other => panic!("parameter `{key}` is not u64: {other:?}"),
-        }
-    }
-
-    /// A float parameter.
-    pub fn f64(&self, key: &str) -> f64 {
-        match self.get(key) {
-            ParamValue::F64(v) => *v,
-            ParamValue::U64(v) => *v as f64,
-            other => panic!("parameter `{key}` is not f64: {other:?}"),
-        }
-    }
-
-    /// A string parameter.
-    pub fn str(&self, key: &str) -> &str {
-        match self.get(key) {
-            ParamValue::Str(v) => v,
-            other => panic!("parameter `{key}` is not a string: {other:?}"),
-        }
-    }
-}
-
 /// Signature of a descriptor's build function: resolved parameters yield
 /// a live model or a typed error.
 pub type BuildModelFn = fn(&ResolvedParams) -> Result<Arc<dyn FaultModel>, BuildError>;
 
-/// Signature of a descriptor's canonicalization hook (see
-/// [`FaultModelDescriptor::canonicalize`]).
-pub type CanonicalizeFn = fn(&mut ResolvedParams) -> Result<(), BuildError>;
-
 /// A registered fault model: name, documentation, the advertised nesting
 /// contract, parameter schema, and the label/build functions.
+#[derive(Debug)]
 pub struct FaultModelDescriptor {
     /// Registered name (what `--fault-model` selects).
     pub name: &'static str,
@@ -398,28 +143,52 @@ pub struct FaultModelDescriptor {
     pub label: fn(&ResolvedParams) -> String,
     /// Builds the model.
     pub build: BuildModelFn,
-    /// Optional canonicalization hook, run after resolution: folds
-    /// environment-dependent parameters (e.g. a parameter *file path*)
-    /// into value-equivalent canonical ones (its *contents*), so
-    /// content-addressed cache keys depend on what a model computes, not
-    /// on where its inputs live.
+    /// Optional canonicalization hook (see
+    /// [`Descriptor::canonical_hook`]).
     pub canonicalize: Option<CanonicalizeFn>,
 }
 
-impl fmt::Debug for FaultModelDescriptor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultModelDescriptor")
-            .field("name", &self.name)
-            .field("voltage_nested", &self.voltage_nested)
-            .field("params", &self.params)
-            .finish()
+impl Descriptor for FaultModelDescriptor {
+    type Tag = FaultModelAxis;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn doc(&self) -> &'static str {
+        self.doc
+    }
+
+    fn params(&self) -> &[ParamSpec] {
+        &self.params
+    }
+
+    fn label(&self, params: &ResolvedParams) -> String {
+        (self.label)(params)
+    }
+
+    fn canonical_hook(&self) -> Option<CanonicalizeFn> {
+        self.canonicalize
     }
 }
 
-/// The ordered collection of registered fault models.
+/// The ordered collection of registered fault models: the shared
+/// [`Registry`] core (resolution, labels, canonical JSON), plus building.
 #[derive(Debug, Default)]
-pub struct FaultModelRegistry {
-    models: Vec<FaultModelDescriptor>,
+pub struct FaultModelRegistry(Registry<FaultModelDescriptor>);
+
+impl Deref for FaultModelRegistry {
+    type Target = Registry<FaultModelDescriptor>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for FaultModelRegistry {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl FaultModelRegistry {
@@ -428,122 +197,9 @@ impl FaultModelRegistry {
         FaultModelRegistry::default()
     }
 
-    /// Registers a descriptor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate name — registrations are code, not data.
-    pub fn register(&mut self, descriptor: FaultModelDescriptor) {
-        assert!(
-            self.descriptor(descriptor.name).is_none(),
-            "fault model `{}` registered twice",
-            descriptor.name
-        );
-        self.models.push(descriptor);
-    }
-
-    /// The descriptor registered under `name`.
-    pub fn descriptor(&self, name: &str) -> Option<&FaultModelDescriptor> {
-        self.models.iter().find(|d| d.name == name)
-    }
-
-    /// All descriptors, in registration order.
-    pub fn descriptors(&self) -> &[FaultModelDescriptor] {
-        &self.models
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.models.iter().map(|d| d.name).collect()
-    }
-
-    /// Resolves a config against its descriptor: every override must name
-    /// a declared parameter and coerce to its default's type.
-    pub fn resolve(&self, config: &FaultModelConfig) -> Result<ResolvedParams, BuildError> {
-        let descriptor = self
-            .descriptor(&config.name)
-            .ok_or_else(|| BuildError::UnknownModel {
-                name: config.name.clone(),
-            })?;
-        for (key, _) in &config.params {
-            if !descriptor.params.iter().any(|p| p.name == key) {
-                return Err(BuildError::UnknownParam {
-                    model: config.name.clone(),
-                    param: key.clone(),
-                });
-            }
-        }
-        let mut values = Vec::with_capacity(descriptor.params.len());
-        for spec in &descriptor.params {
-            let value = match config.get(spec.name) {
-                None => spec.default.clone(),
-                Some(over) => {
-                    over.coerce_to(&spec.default)
-                        .ok_or_else(|| BuildError::InvalidParam {
-                            model: config.name.clone(),
-                            param: spec.name.to_string(),
-                            reason: format!(
-                                "expected {} (default {}), got `{over}`",
-                                spec.default.type_name(),
-                                spec.default
-                            ),
-                        })?
-                }
-            };
-            values.push((spec.name, value));
-        }
-        Ok(ResolvedParams {
-            model: descriptor.name,
-            values,
-        })
-    }
-
-    /// Validates a config without building it.
-    pub fn validate(&self, config: &FaultModelConfig) -> Result<(), BuildError> {
-        self.resolve(config).map(|_| ())
-    }
-
-    /// The report label of a config.
-    pub fn label(&self, config: &FaultModelConfig) -> Result<String, BuildError> {
-        let resolved = self.resolve(config)?;
-        let descriptor = self.descriptor(&config.name).expect("resolved above");
-        Ok((descriptor.label)(&resolved))
-    }
-
-    /// Normalizes a config to its canonical spelling: every declared
-    /// parameter spelled explicitly, in descriptor declaration order, with
-    /// values coerced to the declared type and environment-dependent
-    /// parameters folded (see [`FaultModelDescriptor::canonicalize`]). Any
-    /// two configs that resolve to the same model canonicalize to equal
-    /// [`FaultModelConfig`]s, which is what content-addressed caching
-    /// keys on.
-    pub fn canonicalize(&self, config: &FaultModelConfig) -> Result<FaultModelConfig, BuildError> {
-        let mut resolved = self.resolve(config)?;
-        let descriptor = self.descriptor(&config.name).expect("resolved above");
-        if let Some(hook) = descriptor.canonicalize {
-            hook(&mut resolved)?;
-        }
-        Ok(FaultModelConfig {
-            name: resolved.model.to_string(),
-            params: resolved
-                .values
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        })
-    }
-
-    /// The canonical JSON spelling of a config (see
-    /// [`FaultModelRegistry::canonicalize`]): equal models produce
-    /// byte-identical JSON, suitable for hashing into a cache key.
-    pub fn canonical_json(&self, config: &FaultModelConfig) -> Result<String, BuildError> {
-        Ok(self.canonicalize(config)?.to_json())
-    }
-
     /// Builds a config into a live model.
     pub fn build(&self, config: &FaultModelConfig) -> Result<Arc<dyn FaultModel>, BuildError> {
-        let resolved = self.resolve(config)?;
-        let descriptor = self.descriptor(&config.name).expect("resolved above");
+        let (descriptor, resolved) = self.resolve(config)?;
         (descriptor.build)(&resolved)
     }
 }
@@ -859,6 +515,12 @@ fn anchors_to_str(anchors: &[(f64, f64)]) -> String {
         .join(";")
 }
 
+/// Parses one `vdd`, `log10_p` anchor; `err(field, text)` words a failure.
+fn anchor_pair(v: &str, l: &str, err: impl Fn(&str, &str) -> String) -> Result<(f64, f64), String> {
+    let num = |field: &str, text: &str| text.trim().parse().map_err(|_| err(field, text));
+    Ok((num("voltage", v)?, num("log10_p", l)?))
+}
+
 /// Parses an anchors string (see [`anchors_to_str`]).
 fn anchors_from_str(text: &str) -> Result<Vec<(f64, f64)>, String> {
     let mut anchors = Vec::new();
@@ -870,15 +532,8 @@ fn anchors_from_str(text: &str) -> Result<Vec<(f64, f64)>, String> {
         let Some((v, l)) = pair.split_once('@') else {
             return Err(format!("anchor `{pair}` is not vdd@log10_p"));
         };
-        let v: f64 = v
-            .trim()
-            .parse()
-            .map_err(|_| format!("anchor voltage `{v}` is not a number"))?;
-        let l: f64 = l
-            .trim()
-            .parse()
-            .map_err(|_| format!("anchor log10_p `{l}` is not a number"))?;
-        anchors.push((v, l));
+        let err = |field: &str, text: &str| format!("anchor {field} `{text}` is not a number");
+        anchors.push(anchor_pair(v, l, err)?);
     }
     Ok(anchors)
 }
@@ -896,15 +551,10 @@ fn anchors_from_file(path: &str) -> Result<Vec<(f64, f64)>, String> {
         let Some((v, l)) = line.split_once(',') else {
             return Err(format!("{path}:{}: expected `vdd,log10_p`", number + 1));
         };
-        let v: f64 = v
-            .trim()
-            .parse()
-            .map_err(|_| format!("{path}:{}: voltage `{v}` is not a number", number + 1))?;
-        let l: f64 = l
-            .trim()
-            .parse()
-            .map_err(|_| format!("{path}:{}: log10_p `{l}` is not a number", number + 1))?;
-        anchors.push((v, l));
+        let err = |field: &str, text: &str| {
+            format!("{path}:{}: {field} `{text}` is not a number", number + 1)
+        };
+        anchors.push(anchor_pair(v, l, err)?);
     }
     Ok(anchors)
 }
@@ -912,23 +562,18 @@ fn anchors_from_file(path: &str) -> Result<Vec<(f64, f64)>, String> {
 /// Resolves the `table` model's anchors: the file takes precedence over
 /// the inline string when set.
 fn table_anchors(p: &ResolvedParams) -> Result<Vec<(f64, f64)>, BuildError> {
-    let model_err = |reason: String| BuildError::Model {
-        model: p.model().to_string(),
-        reason,
-    };
     let file = p.str("file");
     let anchors = if file.is_empty() {
-        anchors_from_str(p.str("anchors")).map_err(model_err)?
+        anchors_from_str(p.str("anchors"))
     } else {
-        anchors_from_file(file).map_err(model_err)?
-    };
+        anchors_from_file(file)
+    }
+    .map_err(|reason| p.unbuildable(reason))?;
     if anchors.len() < 2 {
-        return Err(model_err("need at least two anchors".to_string()));
+        return Err(p.unbuildable("need at least two anchors"));
     }
     if !anchors.windows(2).all(|w| w[0].0 < w[1].0) {
-        return Err(model_err(
-            "anchor voltages must be strictly increasing".to_string(),
-        ));
+        return Err(p.unbuildable("anchor voltages must be strictly increasing"));
     }
     Ok(anchors)
 }
@@ -993,27 +638,22 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
             label
         },
         build: |p| {
-            let invalid = |param: &str, reason: &str| BuildError::InvalidParam {
-                model: p.model().to_string(),
-                param: param.to_string(),
-                reason: reason.to_string(),
-            };
             let (rows, corr) = (p.u64("rows"), p.f64("corr"));
             let (col_cells, col_corr) = (p.u64("col_cells"), p.f64("col_corr"));
             if rows == 0 {
-                return Err(invalid("rows", "must be positive"));
+                return Err(p.invalid("rows", "must be positive"));
             }
             if !(1..=u64::from(layout::CELLS_PER_LINE)).contains(&col_cells) {
-                return Err(invalid("col_cells", "must be in [1, 560]"));
+                return Err(p.invalid("col_cells", "must be in [1, 560]"));
             }
             if !(0.0..=1.0).contains(&corr) {
-                return Err(invalid("corr", "must be in [0, 1]"));
+                return Err(p.invalid("corr", "must be in [0, 1]"));
             }
             if !(0.0..=1.0).contains(&col_corr) {
-                return Err(invalid("col_corr", "must be in [0, 1]"));
+                return Err(p.invalid("col_corr", "must be in [0, 1]"));
             }
             if corr * corr + col_corr * col_corr > 1.0 {
-                return Err(invalid(
+                return Err(p.invalid(
                     "corr",
                     "corr^2 + col_corr^2 must not exceed 1 (variance budget)",
                 ));
@@ -1058,17 +698,12 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
             label
         },
         build: |p| {
-            let invalid = |param: &str, reason: String| BuildError::InvalidParam {
-                model: p.model().to_string(),
-                param: param.to_string(),
-                reason,
-            };
             let mode = match p.str("mode") {
                 "random" => TransientMode::Random,
                 "burst" => TransientMode::Burst,
                 "msb" => TransientMode::Msb,
                 other => {
-                    return Err(invalid(
+                    return Err(p.invalid(
                         "mode",
                         format!("`{other}` is not one of random, burst, msb"),
                     ))
@@ -1076,11 +711,11 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
             };
             let rate = p.f64("rate");
             if !(0.0..=1.0).contains(&rate) {
-                return Err(invalid("rate", "must be a probability".to_string()));
+                return Err(p.invalid("rate", "must be a probability"));
             }
             let burst_len = p.u64("burst_len");
             if !(1..=u64::from(layout::CELLS_PER_LINE)).contains(&burst_len) {
-                return Err(invalid(
+                return Err(p.invalid(
                     "burst_len",
                     format!("must be in [1, {}]", layout::CELLS_PER_LINE),
                 ));
@@ -1124,11 +759,7 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
             let anchors = table_anchors(p)?;
             let sigma = p.f64("sigma");
             if sigma < 0.0 {
-                return Err(BuildError::InvalidParam {
-                    model: p.model().to_string(),
-                    param: "sigma".to_string(),
-                    reason: "must be non-negative".to_string(),
-                });
+                return Err(p.invalid("sigma", "must be non-negative"));
             }
             Ok(Arc::new(ParametricStuckAt {
                 cell: CellFailureModel::from_anchors(anchors, sigma),
@@ -1310,7 +941,7 @@ mod tests {
         let err = r
             .build(&FaultModelConfig::new("table").with("anchors", ParamValue::Str(String::new())))
             .unwrap_err();
-        assert!(matches!(err, BuildError::Model { .. }), "{err}");
+        assert!(matches!(err, BuildError::Unbuildable { .. }), "{err}");
     }
 
     #[test]
@@ -1359,7 +990,7 @@ mod tests {
         let r = registry();
         assert!(matches!(
             r.validate(&FaultModelConfig::new("nope")),
-            Err(BuildError::UnknownModel { .. })
+            Err(BuildError::Unknown { .. })
         ));
         assert!(matches!(
             r.validate(&FaultModelConfig::parse("clustered:bogus=1").unwrap()),

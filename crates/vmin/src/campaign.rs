@@ -19,9 +19,7 @@ use std::path::{Path, PathBuf};
 
 use killi::registry::{BuildError, LineRule, SchemeConfig};
 use killi_bench::exec::{par_map, Progress};
-use killi_bench::fault_models::{
-    build_fault_model, fault_model_label, FaultModelBuildError, FaultModelConfig,
-};
+use killi_bench::fault_models::{build_fault_model, fault_model_label, FaultModelConfig};
 use killi_bench::schemes::{default_registry, scheme_admissibility, scheme_label};
 use killi_bench::sweep::{validate_voltage_grid, Accumulator};
 use killi_fault::model::default_registry as default_fault_registry;
@@ -91,10 +89,9 @@ impl Default for VminConfig {
 /// Why a [`VminConfig`] was rejected.
 #[derive(Debug)]
 pub enum VminConfigError {
-    /// A scheme config failed registry resolution.
-    Scheme(BuildError),
-    /// The fault-model config failed registry resolution.
-    FaultModel(FaultModelBuildError),
+    /// A scheme or fault-model config failed registry resolution (the
+    /// error names which).
+    Registry(BuildError),
     /// The voltage grid is unusable as a search axis.
     Grid {
         /// What is wrong with it.
@@ -110,8 +107,7 @@ pub enum VminConfigError {
 impl std::fmt::Display for VminConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            VminConfigError::Scheme(e) => write!(f, "invalid scheme: {e}"),
-            VminConfigError::FaultModel(e) => write!(f, "invalid fault model: {e}"),
+            VminConfigError::Registry(e) => write!(f, "invalid {}: {e}", e.axis().noun()),
             VminConfigError::Grid { reason } => write!(f, "invalid voltage grid: {reason}"),
             VminConfigError::Config { reason } => write!(f, "invalid campaign config: {reason}"),
         }
@@ -122,13 +118,7 @@ impl std::error::Error for VminConfigError {}
 
 impl From<BuildError> for VminConfigError {
     fn from(e: BuildError) -> Self {
-        VminConfigError::Scheme(e)
-    }
-}
-
-impl From<FaultModelBuildError> for VminConfigError {
-    fn from(e: FaultModelBuildError) -> Self {
-        VminConfigError::FaultModel(e)
+        VminConfigError::Registry(e)
     }
 }
 
@@ -982,6 +972,7 @@ pub fn check_report(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use killi_obs::params::Axis;
 
     fn small_config() -> VminConfig {
         VminConfig {
@@ -1015,7 +1006,10 @@ mod tests {
         assert!(matches!(c.validated(), Err(VminConfigError::Config { .. })));
         let mut c = small_config();
         c.schemes[0] = SchemeConfig::new("no-such-scheme");
-        assert!(matches!(c.validated(), Err(VminConfigError::Scheme(_))));
+        assert!(matches!(
+            c.validated(),
+            Err(VminConfigError::Registry(e)) if e.axis() == Axis::Scheme
+        ));
     }
 
     #[test]
