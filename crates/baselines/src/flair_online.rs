@@ -21,10 +21,8 @@ use killi::pipeline::{
     CodecVerdict, FaultClassifier, LineStore, PassthroughPolicy, ProtectionPipeline,
     SecdedLineCodec,
 };
-use killi_ecc::bits::Line512;
 use killi_fault::map::{FaultMap, LineId};
-use killi_obs::{MetricSet, Sink};
-use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
+use killi_obs::MetricSet;
 
 /// Training progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,11 +77,6 @@ impl PairTestClassifier {
     /// Times the DMR path rescued data that SECDED alone could not.
     pub fn dmr_saves(&self) -> u64 {
         self.dmr_saves
-    }
-
-    /// Training-clock accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     fn way_of(&self, line: LineId) -> usize {
@@ -172,117 +165,41 @@ impl FaultClassifier for PairTestClassifier {
 }
 
 /// FLAIR with its online DMR + rotating-MBIST characterization phase.
-pub struct FlairOnline {
-    pipe: ProtectionPipeline<SecdedLineCodec, LineStore, PairTestClassifier, PassthroughPolicy>,
-}
+pub type FlairOnline =
+    ProtectionPipeline<SecdedLineCodec, LineStore, PairTestClassifier, PassthroughPolicy>;
 
-impl FlairOnline {
-    /// Builds the scheme; `accesses_per_pair` controls how long each MBIST
-    /// round lasts in L2 accesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault map is too small or `l2_ways` is odd.
-    pub fn new(
-        map: Arc<FaultMap>,
-        l2_lines: usize,
-        l2_ways: usize,
-        accesses_per_pair: u64,
-    ) -> Self {
-        match Self::try_new(map, l2_lines, l2_ways, accesses_per_pair) {
-            Ok(scheme) => scheme,
-            Err(message) => panic!("{message}"),
-        }
+/// Builds the scheme; `accesses_per_pair` controls how long each MBIST
+/// round lasts in L2 accesses. Fails if the fault map is too small or
+/// `l2_ways` is odd.
+pub fn build(
+    map: Arc<FaultMap>,
+    l2_lines: usize,
+    l2_ways: usize,
+    accesses_per_pair: u64,
+) -> Result<FlairOnline, String> {
+    if map.lines() < l2_lines {
+        return Err("fault map too small".to_string());
     }
-
-    /// Fallible construction (the registry path).
-    pub fn try_new(
-        map: Arc<FaultMap>,
-        l2_lines: usize,
-        l2_ways: usize,
-        accesses_per_pair: u64,
-    ) -> Result<Self, String> {
-        if map.lines() < l2_lines {
-            return Err("fault map too small".to_string());
-        }
-        if !l2_ways.is_multiple_of(2) {
-            return Err("way pairs need an even way count".to_string());
-        }
-        let classifier =
-            PairTestClassifier::new(Arc::clone(&map), l2_lines, l2_ways, accesses_per_pair);
-        Ok(FlairOnline {
-            pipe: ProtectionPipeline::new(
-                "flair-online",
-                SecdedLineCodec::new(map),
-                LineStore::new(l2_lines),
-                classifier,
-                PassthroughPolicy,
-            ),
-        })
+    if !l2_ways.is_multiple_of(2) {
+        return Err("way pairs need an even way count".to_string());
     }
-
-    /// True once every way pair has been characterized.
-    pub fn steady(&self) -> bool {
-        self.pipe.classifier().steady()
-    }
-
-    /// Times the DMR path rescued data that SECDED alone could not.
-    pub fn dmr_saves(&self) -> u64 {
-        self.pipe.classifier().dmr_saves()
-    }
-}
-
-impl LineProtection for FlairOnline {
-    fn name(&self) -> &str {
-        self.pipe.name()
-    }
-
-    fn reset(&mut self) {
-        self.pipe.reset();
-    }
-
-    fn victim_class(&self, line: LineId) -> Option<u8> {
-        self.pipe.victim_class(line)
-    }
-
-    fn on_fill(&mut self, line: LineId, data: &Line512) -> FillOutcome {
-        self.pipe.on_fill(line, data)
-    }
-
-    fn on_read_hit(&mut self, line: LineId, stored: &mut Line512) -> ReadOutcome {
-        self.pipe.on_read_hit(line, stored)
-    }
-
-    fn on_evict(&mut self, line: LineId, stored: &Line512) {
-        self.pipe.on_evict(line, stored);
-    }
-
-    fn hit_latency_extra(&self) -> u32 {
-        self.pipe.hit_latency_extra()
-    }
-
-    fn attach_sink(&mut self, sink: Sink) {
-        self.pipe.attach_sink(sink);
-    }
-
-    fn metrics(&self) -> MetricSet {
-        self.pipe.metrics()
-    }
-}
-
-impl std::fmt::Debug for FlairOnline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlairOnline")
-            .field("phase", &self.pipe.classifier().phase)
-            .field("accesses", &self.pipe.classifier().accesses())
-            .finish()
-    }
+    let classifier =
+        PairTestClassifier::new(Arc::clone(&map), l2_lines, l2_ways, accesses_per_pair);
+    Ok(ProtectionPipeline::new(
+        "flair-online",
+        SecdedLineCodec::new(map),
+        LineStore::new(l2_lines),
+        classifier,
+        PassthroughPolicy,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use killi_ecc::bits::Line512;
     use killi_fault::map::CellFault;
+    use killi_sim::protection::{LineProtection, ReadOutcome};
 
     fn map_with(faults: Vec<(usize, Vec<CellFault>)>, lines: usize) -> Arc<FaultMap> {
         let mut per_line = vec![Vec::new(); lines];
@@ -295,7 +212,7 @@ mod tests {
     #[test]
     fn training_reduces_capacity_to_7_of_16() {
         let map = map_with(vec![], 32);
-        let s = FlairOnline::new(map, 32, 16, 1000);
+        let s = build(map, 32, 16, 1000).unwrap();
         // Set 0: ways 0..16. Pair 0 (ways 0,1) under test; odd untested
         // ways mirror even ones.
         let usable: Vec<usize> = (0..16).filter(|&w| s.victim_class(w).is_some()).collect();
@@ -320,13 +237,13 @@ mod tests {
             )],
             32,
         );
-        let mut s = FlairOnline::new(map, 32, 16, 2);
+        let mut s = build(map, 32, 16, 2).unwrap();
         let data = Line512::zero();
         // 8 pairs x 2 accesses each.
         for i in 0..16 {
             s.on_fill((i % 8) as usize + 2, &data); // avoid untestable ways
         }
-        assert!(s.steady(), "{s:?}");
+        assert!(s.classifier().steady(), "{s:?}");
         // Learned disable map matches the oracle: line 0 has 2 faults.
         assert_eq!(s.victim_class(0), None);
         assert_eq!(s.victim_class(1), Some(0));
@@ -345,12 +262,12 @@ mod tests {
             )],
             32,
         );
-        let mut s = FlairOnline::new(Arc::clone(&map), 32, 16, 1);
+        let mut s = build(Arc::clone(&map), 32, 16, 1).unwrap();
         let data = Line512::zero();
         for i in 0..16 {
             s.on_fill(4 + (i % 4) as usize, &data);
         }
-        assert!(s.steady());
+        assert!(s.classifier().steady());
         s.on_fill(2, &data);
         let mut arr = data;
         map.corrupt_data(2, &mut arr);
@@ -362,22 +279,38 @@ mod tests {
     }
 
     #[test]
+    fn dmr_rescues_uncorrectable_untested_lines() {
+        let stuck = |cell| CellFault { cell, stuck: true };
+        let map = map_with(vec![(2, vec![stuck(1), stuck(2)])], 32);
+        let mut s = build(Arc::clone(&map), 32, 16, 1000).unwrap();
+        let data = Line512::zero();
+        s.on_fill(2, &data);
+        let mut arr = data;
+        map.corrupt_data(2, &mut arr);
+        match s.on_read_hit(2, &mut arr) {
+            ReadOutcome::ErrorMiss { .. } => {}
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(s.classifier().dmr_saves(), 1);
+    }
+
+    #[test]
     fn reset_restarts_training() {
         let map = map_with(vec![], 32);
-        let mut s = FlairOnline::new(map, 32, 16, 1);
+        let mut s = build(map, 32, 16, 1).unwrap();
         let data = Line512::zero();
         for i in 0..8 {
             s.on_fill(2 + (i % 4) as usize, &data);
         }
-        assert!(s.steady());
+        assert!(s.classifier().steady());
         s.reset();
-        assert!(!s.steady());
+        assert!(!s.classifier().steady());
     }
 
     #[test]
-    fn try_new_reports_odd_way_count() {
+    fn build_reports_odd_way_count() {
         let map = map_with(vec![], 32);
-        let err = FlairOnline::try_new(map, 32, 15, 1).unwrap_err();
+        let err = build(map, 32, 15, 1).unwrap_err();
         assert_eq!(err, "way pairs need an even way count");
     }
 }

@@ -12,17 +12,22 @@
 //! All baselines run on the identical simulator substrate as Killi via the
 //! `LineProtection` trait; the only privileged information they receive is
 //! the MBIST-equivalent oracle disable map, matching the paper's
-//! methodology. Each is a composition of the `killi::pipeline` layers, and
-//! [`register_baselines`] declares them all to a
-//! [`killi::registry::SchemeRegistry`].
+//! methodology. Each is a `killi::pipeline::ProtectionPipeline` over the
+//! pipeline layers (the types above are aliases of it, each module's
+//! `build` is its one constructor), and [`register_baselines`] declares
+//! them all to a [`killi::registry::SchemeRegistry`].
 
 pub mod flair_online;
 pub mod msecc;
 pub mod per_line;
 
+use std::sync::Arc;
+
 use killi::registry::{
-    CellSpan, LineRule, ParamSpec, ParamValue, SchemeDescriptor, SchemeRegistry,
+    BuildCtx, BuildError, CellSpan, LineRule, ParamSpec, ParamValue, ResolvedParams,
+    SchemeDescriptor, SchemeRegistry,
 };
+use killi_sim::protection::LineProtection;
 
 pub use flair_online::FlairOnline;
 pub use msecc::MsEcc;
@@ -36,6 +41,23 @@ const SECDED_RULE: LineRule = LineRule::Total {
     max_faults: 1,
 };
 
+/// The registry build of a per-line baseline (`flair`, `secded`, `dected`).
+fn build_per_line(
+    p: &ResolvedParams,
+    ctx: &BuildCtx,
+    name: &'static str,
+    strength: EccStrength,
+) -> Result<Box<dyn LineProtection>, BuildError> {
+    let scheme = per_line::build(
+        name,
+        strength,
+        Arc::clone(&ctx.fault_map),
+        ctx.geometry.lines(),
+    )
+    .map_err(|reason| p.unbuildable(reason))?;
+    Ok(Box::new(scheme))
+}
+
 /// Registers the baseline schemes (`flair`, `secded`, `dected`,
 /// `flair-online`, `ms-ecc`) as declarative registry entries.
 pub fn register_baselines(registry: &mut SchemeRegistry) {
@@ -44,16 +66,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line SECDED with >= 2-fault lines disabled (FLAIR steady state)",
         params: Vec::new(),
         label: |_| "flair".to_string(),
-        build: |p, ctx| {
-            let scheme = PerLineEcc::try_new(
-                "flair",
-                EccStrength::Secded,
-                std::sync::Arc::clone(&ctx.fault_map),
-                ctx.geometry.lines(),
-            )
-            .map_err(|reason| p.unbuildable(reason))?;
-            Ok(Box::new(scheme))
-        },
+        build: |p, ctx| build_per_line(p, ctx, "flair", EccStrength::Secded),
         admissibility: |_| SECDED_RULE,
     });
 
@@ -62,16 +75,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "plain per-line SECDED (the Table 5 area-normalization baseline)",
         params: Vec::new(),
         label: |_| "secded".to_string(),
-        build: |p, ctx| {
-            let scheme = PerLineEcc::try_new(
-                "secded",
-                EccStrength::Secded,
-                std::sync::Arc::clone(&ctx.fault_map),
-                ctx.geometry.lines(),
-            )
-            .map_err(|reason| p.unbuildable(reason))?;
-            Ok(Box::new(scheme))
-        },
+        build: |p, ctx| build_per_line(p, ctx, "secded", EccStrength::Secded),
         admissibility: |_| SECDED_RULE,
     });
 
@@ -80,16 +84,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line DEC-TED with >= 3-fault lines disabled",
         params: Vec::new(),
         label: |_| "dected".to_string(),
-        build: |p, ctx| {
-            let scheme = PerLineEcc::try_new(
-                "dected",
-                EccStrength::Dected,
-                std::sync::Arc::clone(&ctx.fault_map),
-                ctx.geometry.lines(),
-            )
-            .map_err(|reason| p.unbuildable(reason))?;
-            Ok(Box::new(scheme))
-        },
+        build: |p, ctx| build_per_line(p, ctx, "dected", EccStrength::Dected),
         admissibility: |_| LineRule::Total {
             span: CellSpan::DataDected,
             max_faults: 2,
@@ -111,8 +106,8 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
                 0 => lines as u64 * 4,
                 n => n,
             };
-            let scheme = FlairOnline::try_new(
-                std::sync::Arc::clone(&ctx.fault_map),
+            let scheme = flair_online::build(
+                Arc::clone(&ctx.fault_map),
                 lines,
                 ctx.geometry.ways,
                 per_pair,
@@ -142,8 +137,8 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         ],
         label: |_| "ms-ecc".to_string(),
         build: |p, ctx| {
-            let scheme = MsEcc::try_with_code(
-                std::sync::Arc::clone(&ctx.fault_map),
+            let scheme = msecc::build(
+                Arc::clone(&ctx.fault_map),
                 ctx.geometry.lines(),
                 p.u64("m") as usize,
                 p.u64("t") as usize,

@@ -18,139 +18,49 @@ use std::sync::Arc;
 use killi::pipeline::{
     LineStore, OlscBlockCodec, OracleClassifier, PassthroughPolicy, ProtectionPipeline,
 };
-use killi_ecc::bits::Line512;
-use killi_fault::map::{FaultMap, LineId};
-use killi_obs::{MetricSet, Sink};
-use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
+use killi_fault::map::FaultMap;
 
 /// The MS-ECC protection scheme.
-pub struct MsEcc {
-    pipe: ProtectionPipeline<OlscBlockCodec, LineStore, OracleClassifier, PassthroughPolicy>,
-}
+pub type MsEcc = ProtectionPipeline<OlscBlockCodec, LineStore, OracleClassifier, PassthroughPolicy>;
 
-impl MsEcc {
-    /// Builds MS-ECC over `l2_lines` lines with the paper's configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault map does not cover `l2_lines`.
-    pub fn new(map: Arc<FaultMap>, l2_lines: usize) -> Self {
-        Self::with_code(map, l2_lines, 8, 2)
+/// Builds MS-ECC over `l2_lines` lines with OLSC block width `m` and
+/// per-block correction `t` (the paper's configuration is `m = 8`,
+/// `t = 2`). Validates the OLSC geometry and map coverage.
+pub fn build(map: Arc<FaultMap>, l2_lines: usize, m: usize, t: usize) -> Result<MsEcc, String> {
+    if map.lines() < l2_lines {
+        return Err("fault map too small".to_string());
     }
-
-    /// Builds MS-ECC with a custom OLSC geometry (block width `m`,
-    /// per-block correction `t`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unsupported OLSC parameters or an undersized fault map.
-    pub fn with_code(map: Arc<FaultMap>, l2_lines: usize, m: usize, t: usize) -> Self {
-        match Self::try_with_code(map, l2_lines, m, t) {
-            Ok(scheme) => scheme,
-            Err(message) => panic!("{message}"),
-        }
+    if !matches!(m, 4 | 8 | 16) {
+        return Err(format!("OLSC block width m={m} is not one of 4, 8, 16"));
     }
-
-    /// Fallible construction (the registry path): validates the OLSC
-    /// geometry and map coverage instead of panicking.
-    pub fn try_with_code(
-        map: Arc<FaultMap>,
-        l2_lines: usize,
-        m: usize,
-        t: usize,
-    ) -> Result<Self, String> {
-        if map.lines() < l2_lines {
-            return Err("fault map too small".to_string());
-        }
-        if !matches!(m, 4 | 8 | 16) {
-            return Err(format!("OLSC block width m={m} is not one of 4, 8, 16"));
-        }
-        if t == 0 || 2 * t > m + 1 {
-            return Err(format!(
-                "OLSC t={t} out of range for m={m} (need 1 <= t, 2t <= m+1)"
-            ));
-        }
-        if 2 * t * m > 256 {
-            return Err(format!(
-                "OLSC({m}, {t}) checkbits ({}) exceed the 256-bit payload",
-                2 * t * m
-            ));
-        }
-        // Oracle: disable lines with more than `t` data faults in any block.
-        let oracle = OracleClassifier::from_block_budget(&map, l2_lines, m * m, t);
-        Ok(MsEcc {
-            pipe: ProtectionPipeline::new(
-                "ms-ecc",
-                OlscBlockCodec::new(m, t),
-                LineStore::new(l2_lines),
-                oracle,
-                PassthroughPolicy,
-            ),
-        })
+    if t == 0 || 2 * t > m + 1 {
+        return Err(format!(
+            "OLSC t={t} out of range for m={m} (need 1 <= t, 2t <= m+1)"
+        ));
     }
-
-    /// Number of lines the oracle disabled.
-    pub fn disabled_count(&self) -> usize {
-        self.pipe.classifier().disabled_count()
+    if 2 * t * m > 256 {
+        return Err(format!(
+            "OLSC({m}, {t}) checkbits ({}) exceed the 256-bit payload",
+            2 * t * m
+        ));
     }
-
-    /// Checkbits per line of the configured code.
-    pub fn check_bits_per_line(&self) -> usize {
-        self.pipe.codec().check_bits()
-    }
-}
-
-impl LineProtection for MsEcc {
-    fn name(&self) -> &str {
-        self.pipe.name()
-    }
-
-    fn reset(&mut self) {
-        self.pipe.reset();
-    }
-
-    fn victim_class(&self, line: LineId) -> Option<u8> {
-        self.pipe.victim_class(line)
-    }
-
-    fn on_fill(&mut self, line: LineId, data: &Line512) -> FillOutcome {
-        self.pipe.on_fill(line, data)
-    }
-
-    fn on_read_hit(&mut self, line: LineId, stored: &mut Line512) -> ReadOutcome {
-        self.pipe.on_read_hit(line, stored)
-    }
-
-    fn on_evict(&mut self, line: LineId, stored: &Line512) {
-        self.pipe.on_evict(line, stored);
-    }
-
-    fn hit_latency_extra(&self) -> u32 {
-        self.pipe.hit_latency_extra() // majority-logic decoding is single-cycle-class logic
-    }
-
-    fn attach_sink(&mut self, sink: Sink) {
-        self.pipe.attach_sink(sink);
-    }
-
-    fn metrics(&self) -> MetricSet {
-        self.pipe.metrics()
-    }
-}
-
-impl std::fmt::Debug for MsEcc {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MsEcc")
-            .field("disabled", &self.disabled_count())
-            .field("check_bits", &self.check_bits_per_line())
-            .finish()
-    }
+    // Oracle: disable lines with more than `t` data faults in any block.
+    let oracle = OracleClassifier::from_block_budget(&map, l2_lines, m * m, t);
+    Ok(ProtectionPipeline::new(
+        "ms-ecc",
+        OlscBlockCodec::new(m, t),
+        LineStore::new(l2_lines),
+        oracle,
+        PassthroughPolicy,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use killi_ecc::bits::Line512;
     use killi_fault::map::CellFault;
+    use killi_sim::protection::{LineProtection, ReadOutcome};
 
     fn fault(cell: u16) -> CellFault {
         CellFault { cell, stuck: true }
@@ -164,13 +74,18 @@ mod tests {
         Arc::new(FaultMap::from_faults(per_line))
     }
 
+    /// MS-ECC with the paper's OLSC(8, 2) over a 16-line map.
+    fn paper(map: Arc<FaultMap>) -> MsEcc {
+        build(map, 16, 8, 2).unwrap()
+    }
+
     #[test]
     fn corrects_many_spread_faults() {
         // 8 faults, one per 64-bit block: all correctable.
         let cells: Vec<CellFault> = (0..8).map(|b| fault(b * 64 + 3)).collect();
         let map = map_with(vec![(0, cells)]);
-        let mut s = MsEcc::new(Arc::clone(&map), 16);
-        assert_eq!(s.disabled_count(), 0);
+        let mut s = paper(Arc::clone(&map));
+        assert_eq!(s.classifier().disabled_count(), 0);
         let data = Line512::zero();
         s.on_fill(0, &data);
         let mut arr = data;
@@ -187,8 +102,8 @@ mod tests {
     fn oracle_disables_overloaded_blocks() {
         // 3 faults in one 64-bit block exceed t = 2.
         let map = map_with(vec![(0, vec![fault(1), fault(9), fault(17)])]);
-        let s = MsEcc::new(map, 16);
-        assert_eq!(s.disabled_count(), 1);
+        let s = paper(map);
+        assert_eq!(s.classifier().disabled_count(), 1);
         assert_eq!(s.victim_class(0), None);
     }
 
@@ -201,8 +116,8 @@ mod tests {
             .map(|&c| fault(c))
             .collect();
         let map = map_with(vec![(0, cells)]);
-        let mut s = MsEcc::new(Arc::clone(&map), 16);
-        assert_eq!(s.disabled_count(), 0);
+        let mut s = paper(Arc::clone(&map));
+        assert_eq!(s.classifier().disabled_count(), 0);
         let data = Line512::from_seed(9);
         s.on_fill(0, &data);
         let mut arr = data;
@@ -219,7 +134,7 @@ mod tests {
     #[test]
     fn clean_lines_pass_through() {
         let map = map_with(vec![]);
-        let mut s = MsEcc::new(map, 16);
+        let mut s = paper(map);
         let data = Line512::from_seed(5);
         s.on_fill(0, &data);
         let mut arr = data;
@@ -232,19 +147,19 @@ mod tests {
     #[test]
     fn check_bit_budget_matches_paper_scale() {
         let map = map_with(vec![]);
-        let s = MsEcc::new(map, 16);
+        let s = paper(map);
         // 256 checkbits per 512-bit line: the ~18x-SECDED area class.
-        assert_eq!(s.check_bits_per_line(), 256);
+        assert_eq!(s.codec().check_bits(), 256);
     }
 
     #[test]
-    fn try_with_code_reports_bad_geometry() {
+    fn build_reports_bad_geometry() {
         let map = map_with(vec![]);
-        let err = MsEcc::try_with_code(Arc::clone(&map), 16, 5, 2).unwrap_err();
+        let err = build(Arc::clone(&map), 16, 5, 2).unwrap_err();
         assert!(err.contains("block width"), "{err}");
-        let err = MsEcc::try_with_code(Arc::clone(&map), 16, 8, 5).unwrap_err();
+        let err = build(Arc::clone(&map), 16, 8, 5).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
-        let err = MsEcc::try_with_code(map, 64, 8, 2).unwrap_err();
+        let err = build(map, 64, 8, 2).unwrap_err();
         assert_eq!(err, "fault map too small");
     }
 }

@@ -23,8 +23,6 @@ use killi::pipeline::{
 };
 use killi_ecc::bits::Line512;
 use killi_fault::map::{layout, FaultMap, LineId};
-use killi_obs::{MetricSet, Sink};
-use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
 
 use killi::ecc_cache::EccPayload;
 
@@ -86,139 +84,48 @@ impl DetectionCodec for PerLineCodec {
 }
 
 /// A pre-characterized per-line ECC baseline scheme.
-pub struct PerLineEcc {
+pub type PerLineEcc =
+    ProtectionPipeline<PerLineCodec, LineStore, OracleClassifier, PassthroughPolicy>;
+
+/// Builds a per-line baseline named `name` over `l2_lines` lines; the
+/// MBIST oracle disables every line whose protected region (data +
+/// checkbits) has at least the strength's threshold of faults. FLAIR's
+/// post-training steady state is `("flair", EccStrength::Secded)` (its
+/// online characterization cost is excluded, as in the paper's own
+/// simulations).
+pub fn build(
+    name: &'static str,
     strength: EccStrength,
-    pipe: ProtectionPipeline<PerLineCodec, LineStore, OracleClassifier, PassthroughPolicy>,
-}
-
-impl PerLineEcc {
-    /// Builds a baseline over `l2_lines` lines; the MBIST oracle disables
-    /// every line whose protected region (data + checkbits) has at least
-    /// the strength's threshold of faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault map does not cover `l2_lines`.
-    pub fn new(
-        name: &'static str,
-        strength: EccStrength,
-        map: Arc<FaultMap>,
-        l2_lines: usize,
-    ) -> Self {
-        match Self::try_new(name, strength, map, l2_lines) {
-            Ok(scheme) => scheme,
-            Err(message) => panic!("{message}"),
-        }
+    map: Arc<FaultMap>,
+    l2_lines: usize,
+) -> Result<PerLineEcc, String> {
+    if map.lines() < l2_lines {
+        return Err("fault map too small".to_string());
     }
-
-    /// Fallible construction (the registry path).
-    pub fn try_new(
-        name: &'static str,
-        strength: EccStrength,
-        map: Arc<FaultMap>,
-        l2_lines: usize,
-    ) -> Result<Self, String> {
-        if map.lines() < l2_lines {
-            return Err("fault map too small".to_string());
-        }
-        let oracle = OracleClassifier::from_threshold(
-            &map,
-            l2_lines,
-            strength.checkbit_cells(),
-            strength.disable_threshold(),
-        );
-        let codec = match strength {
-            EccStrength::Secded => PerLineCodec::Secded(SecdedLineCodec::new(map)),
-            EccStrength::Dected => PerLineCodec::Dected(DectedLineCodec::new(map)),
-        };
-        Ok(PerLineEcc {
-            strength,
-            pipe: ProtectionPipeline::new(
-                name,
-                codec,
-                LineStore::new(l2_lines),
-                oracle,
-                PassthroughPolicy,
-            ),
-        })
-    }
-
-    /// SECDED-per-line with >= 2-fault lines disabled: FLAIR's post-training
-    /// steady state (its online characterization cost is excluded, as in
-    /// the paper's own simulations).
-    pub fn flair(map: Arc<FaultMap>, l2_lines: usize) -> Self {
-        Self::new("flair", EccStrength::Secded, map, l2_lines)
-    }
-
-    /// Plain SECDED-per-line (the Table 5 area-normalization baseline).
-    pub fn secded_per_line(map: Arc<FaultMap>, l2_lines: usize) -> Self {
-        Self::new("secded", EccStrength::Secded, map, l2_lines)
-    }
-
-    /// DEC-TED per line with >= 3-fault lines disabled.
-    pub fn dected_per_line(map: Arc<FaultMap>, l2_lines: usize) -> Self {
-        Self::new("dected", EccStrength::Dected, map, l2_lines)
-    }
-
-    /// Number of lines the oracle disabled.
-    pub fn disabled_count(&self) -> usize {
-        self.pipe.classifier().disabled_count()
-    }
-}
-
-impl LineProtection for PerLineEcc {
-    fn name(&self) -> &str {
-        self.pipe.name()
-    }
-
-    fn reset(&mut self) {
-        // Pre-characterized state persists; only cached codes go away.
-        self.pipe.reset();
-    }
-
-    fn victim_class(&self, line: LineId) -> Option<u8> {
-        self.pipe.victim_class(line)
-    }
-
-    fn on_fill(&mut self, line: LineId, data: &Line512) -> FillOutcome {
-        self.pipe.on_fill(line, data)
-    }
-
-    fn on_read_hit(&mut self, line: LineId, stored: &mut Line512) -> ReadOutcome {
-        self.pipe.on_read_hit(line, stored)
-    }
-
-    fn on_evict(&mut self, line: LineId, stored: &Line512) {
-        self.pipe.on_evict(line, stored);
-    }
-
-    fn hit_latency_extra(&self) -> u32 {
-        self.pipe.hit_latency_extra()
-    }
-
-    fn attach_sink(&mut self, sink: Sink) {
-        self.pipe.attach_sink(sink);
-    }
-
-    fn metrics(&self) -> MetricSet {
-        self.pipe.metrics()
-    }
-}
-
-impl std::fmt::Debug for PerLineEcc {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PerLineEcc")
-            .field("name", &self.pipe.name())
-            .field("strength", &self.strength)
-            .field("disabled", &self.disabled_count())
-            .finish()
-    }
+    let oracle = OracleClassifier::from_threshold(
+        &map,
+        l2_lines,
+        strength.checkbit_cells(),
+        strength.disable_threshold(),
+    );
+    let codec = match strength {
+        EccStrength::Secded => PerLineCodec::Secded(SecdedLineCodec::new(map)),
+        EccStrength::Dected => PerLineCodec::Dected(DectedLineCodec::new(map)),
+    };
+    Ok(ProtectionPipeline::new(
+        name,
+        codec,
+        LineStore::new(l2_lines),
+        oracle,
+        PassthroughPolicy,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use killi_fault::map::CellFault;
+    use killi_sim::protection::{LineProtection, ReadOutcome};
 
     fn fault(cell: u16, stuck: bool) -> CellFault {
         CellFault { cell, stuck }
@@ -232,6 +139,14 @@ mod tests {
         Arc::new(FaultMap::from_faults(per_line))
     }
 
+    fn flair(map: Arc<FaultMap>) -> PerLineEcc {
+        build("flair", EccStrength::Secded, map, 16).unwrap()
+    }
+
+    fn dected(map: Arc<FaultMap>) -> PerLineEcc {
+        build("dected", EccStrength::Dected, map, 16).unwrap()
+    }
+
     #[test]
     fn oracle_disables_by_threshold() {
         let map = map_with(vec![
@@ -239,13 +154,21 @@ mod tests {
             (1, vec![fault(1, true), fault(2, true)]),
             (2, vec![fault(1, true), fault(2, true), fault(3, true)]),
         ]);
-        let flair = PerLineEcc::flair(Arc::clone(&map), 16);
-        assert_eq!(flair.disabled_count(), 2, "2 and 3 faults disabled");
+        let flair = flair(Arc::clone(&map));
+        assert_eq!(
+            flair.classifier().disabled_count(),
+            2,
+            "2 and 3 faults disabled"
+        );
         assert_eq!(flair.victim_class(0), Some(0));
         assert_eq!(flair.victim_class(1), None);
 
-        let dected = PerLineEcc::dected_per_line(map, 16);
-        assert_eq!(dected.disabled_count(), 1, "only >= 3 faults disabled");
+        let dected = dected(map);
+        assert_eq!(
+            dected.classifier().disabled_count(),
+            1,
+            "only >= 3 faults disabled"
+        );
         assert_eq!(dected.victim_class(1), Some(0));
         assert_eq!(dected.victim_class(2), None);
     }
@@ -256,14 +179,14 @@ mod tests {
             0,
             vec![fault(layout::SECDED.start, true), fault(5, true)],
         )]);
-        let flair = PerLineEcc::flair(map, 16);
-        assert_eq!(flair.disabled_count(), 1);
+        let flair = flair(map);
+        assert_eq!(flair.classifier().disabled_count(), 1);
     }
 
     #[test]
     fn secded_corrects_single_fault() {
         let map = map_with(vec![(0, vec![fault(10, true)])]);
-        let mut s = PerLineEcc::flair(Arc::clone(&map), 16);
+        let mut s = flair(Arc::clone(&map));
         let data = Line512::zero();
         s.on_fill(0, &data);
         let mut arr = data;
@@ -278,7 +201,7 @@ mod tests {
     #[test]
     fn dected_corrects_double_fault() {
         let map = map_with(vec![(0, vec![fault(10, true), fault(200, true)])]);
-        let mut s = PerLineEcc::dected_per_line(Arc::clone(&map), 16);
+        let mut s = dected(Arc::clone(&map));
         let data = Line512::zero();
         s.on_fill(0, &data);
         let mut arr = data;
@@ -296,7 +219,7 @@ mod tests {
         // FLAIR's known weakness (§2.3): SECDED alone on a line with one LV
         // fault plus one soft error can only *detect*.
         let map = map_with(vec![(0, vec![fault(10, true)])]);
-        let mut s = PerLineEcc::flair(Arc::clone(&map), 16);
+        let mut s = flair(Arc::clone(&map));
         let data = Line512::zero();
         s.on_fill(0, &data);
         let mut arr = data;
@@ -313,7 +236,7 @@ mod tests {
     fn corrupted_checkbit_cells_still_handled() {
         // A fault in a SECDED checkbit cell alone: correctable, data clean.
         let map = map_with(vec![(0, vec![fault(layout::SECDED.start + 2, true)])]);
-        let mut s = PerLineEcc::flair(Arc::clone(&map), 16);
+        let mut s = flair(Arc::clone(&map));
         let data = Line512::zero();
         s.on_fill(0, &data);
         let mut arr = data;
@@ -328,18 +251,22 @@ mod tests {
     #[test]
     fn eviction_clears_code_and_reset_keeps_oracle() {
         let map = map_with(vec![(1, vec![fault(1, true), fault(2, true)])]);
-        let mut s = PerLineEcc::flair(map, 16);
+        let mut s = flair(map);
         let data = Line512::from_seed(3);
         s.on_fill(0, &data);
         s.on_evict(0, &data);
         s.reset();
-        assert_eq!(s.disabled_count(), 1, "oracle map survives reset");
+        assert_eq!(
+            s.classifier().disabled_count(),
+            1,
+            "oracle map survives reset"
+        );
     }
 
     #[test]
-    fn try_new_reports_undersized_map() {
+    fn build_reports_undersized_map() {
         let map = map_with(vec![]);
-        let err = PerLineEcc::try_new("flair", EccStrength::Secded, map, 64).unwrap_err();
+        let err = build("flair", EccStrength::Secded, map, 64).unwrap_err();
         assert_eq!(err, "fault map too small");
     }
 }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use killi::scheme::{KilliConfig, KilliScheme};
-use killi_baselines::per_line::PerLineEcc;
+use killi_baselines::per_line::{self, EccStrength};
 use killi_bench::fault_models::{build_fault_model, stuck_at};
 use killi_bench::report::{emit, Table};
 use killi_fault::cell_model::{FreqGhz, NormVdd};
@@ -60,7 +60,15 @@ fn main() {
             ),
             (
                 "flair (secded/line)",
-                Box::new(PerLineEcc::flair(Arc::clone(&map), config.l2.lines())),
+                Box::new(
+                    per_line::build(
+                        "flair",
+                        EccStrength::Secded,
+                        Arc::clone(&map),
+                        config.l2.lines(),
+                    )
+                    .expect("the default GPU's fault map covers its L2"),
+                ),
             ),
         ];
         for (name, protection) in schemes {

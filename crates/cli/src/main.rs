@@ -815,16 +815,15 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
         },
         t.render()
     );
-    let m = &result.metrics;
-    use killi_obs::VminCounter;
+    let stats = &report.stats;
     println!(
         "search: {} probes across {} bisections + {} linear scans; store: {} dies read, \
          {} bytes written",
-        m.get(VminCounter::VoltageProbes),
-        m.get(VminCounter::BinarySearches),
-        m.get(VminCounter::LinearScans),
-        m.get(VminCounter::StoreDiesRead),
-        m.get(VminCounter::StoreBytesWritten),
+        stats.probes,
+        stats.binary_searches,
+        stats.linear_scans,
+        result.store_dies_read,
+        result.store_bytes_written,
     );
     write_creating_dir(&out, report.to_json())?;
     println!("wrote {out}");

@@ -1,12 +1,14 @@
 //! Structured observability for the Killi simulator stack.
 //!
 //! The crate is dependency-free and deliberately small: a typed event
-//! taxonomy ([`KilliEvent`]), a mergeable counter/histogram registry
-//! ([`MetricSet`]), a cheap [`Sink`] handle the simulator components
-//! emit through (the default no-op sink is a single `Option` check),
-//! and a bounded ring-buffer trace with JSON-lines export under the
-//! `killi-obs/v1` schema. A minimal JSON parser rides along so the CLI
-//! can read reports and traces back without external dependencies.
+//! taxonomy ([`KilliEvent`]), one counter array ([`CounterSet`], named
+//! by a counter-kind enum) under both the simulator's [`MetricSet`] and
+//! the service's [`ServeMetrics`], a cheap [`Sink`] handle the
+//! simulator components emit through (the default no-op sink is a
+//! single `Option` check), and a bounded ring-buffer trace with
+//! JSON-lines export under the `killi-obs/v1` schema. A minimal JSON
+//! parser rides along so the CLI can read reports and traces back
+//! without external dependencies.
 //!
 //! Ownership of numbers is partitioned to keep every metric
 //! single-sourced: protection schemes snapshot their authoritative
@@ -23,16 +25,14 @@ pub mod params;
 pub mod serve;
 pub mod sink;
 pub mod trace;
-pub mod vmin;
 
 pub use event::KilliEvent;
 pub use json::{escape as escape_json, parse as parse_json, JsonError, JsonValue};
-pub use metrics::{Counter, Histogram, MetricSet};
+pub use metrics::{Counter, CounterSet, Histogram, MetricSet};
 pub use params::ParamValue;
 pub use serve::{ServeCounter, ServeEvent, ServeMetrics};
 pub use sink::Sink;
 pub use trace::TraceBuffer;
-pub use vmin::{VminCounter, VminEvent, VminMetrics};
 
 /// Schema tag stamped on the header line of every exported trace.
 pub const OBS_SCHEMA: &str = "killi-obs/v1";

@@ -1,6 +1,12 @@
 //! Mergeable counter/histogram registry.
 //!
-//! A [`MetricSet`] is plain data: a fixed array of monotonic counters,
+//! [`CounterSet`] is the crate's one counter array: a fixed set of
+//! monotonic `u64` counters named by a counter kind (an enum declared
+//! with `counter_kind!`, which pairs each variant with its stable JSON
+//! name). The simulator's [`MetricSet`] and the service's
+//! [`crate::ServeMetrics`] are both built on it.
+//!
+//! A [`MetricSet`] is plain data: a [`CounterSet`] over [`Counter`],
 //! the 4×4 DFH transition matrix, an optional DFH census gauge, and two
 //! fixed-width histograms (ECC-cache set occupancy, DFH training
 //! latency in ops). [`MetricSet::merge`] is element-wise addition, so
@@ -8,84 +14,129 @@
 //! and commutative — the property the sweep engine's determinism
 //! contract leans on, and that the unit tests here pin down.
 
+use std::marker::PhantomData;
+
 use crate::event::KilliEvent;
 
 /// Number of histogram buckets (fixed so merge is element-wise).
 pub const HISTOGRAM_BUCKETS: usize = 16;
 
-/// Every monotonic counter the taxonomy can increment.
-///
-/// The discriminant doubles as the index into `MetricSet::counters`,
-/// and [`Counter::NAMES`] carries the stable JSON names in the same
-/// order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    DfhTransitions = 0,
-    ParityChecks,
-    ParityMismatches,
-    SyndromeChecks,
-    Corrections,
-    Detections,
-    EccCacheAccesses,
-    EccCacheInserts,
-    EccCachePromotes,
-    EccCacheDisplacements,
-    EccCacheInvalidations,
-    ErrorInducedMisses,
-    EccInducedMisses,
-    VictimDecisions,
-    FillsRejected,
-    DisabledLines,
+/// A fieldless enum that names the `N` counters of a [`CounterSet`].
+/// Implemented by `counter_kind!`, never by hand.
+pub trait CounterKind<const N: usize>: Copy {
+    /// Stable JSON names, indexed by [`CounterKind::index`].
+    const NAMES: [&'static str; N];
+
+    /// Position of this counter in the set.
+    fn index(self) -> usize;
 }
 
-impl Counter {
-    /// Number of counters (length of [`Counter::NAMES`]).
-    pub const COUNT: usize = 16;
+/// Declares a counter kind: `Variant => "json_name"` pairs in JSON
+/// field order. The enum, its `COUNT` and its names table all come from
+/// the one list, so they cannot drift apart.
+macro_rules! counter_kind {
+    ($(#[$meta:meta])* $vis:vis enum $kind:ident { $($variant:ident => $name:literal,)+ }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        $vis enum $kind {
+            $($variant,)+
+        }
 
-    /// Stable JSON names, indexed by discriminant.
-    pub const NAMES: [&'static str; Counter::COUNT] = [
-        "dfh_transitions",
-        "parity_checks",
-        "parity_mismatches",
-        "syndrome_checks",
-        "corrections",
-        "detections",
-        "ecc_cache_accesses",
-        "ecc_cache_inserts",
-        "ecc_cache_promotes",
-        "ecc_cache_displacements",
-        "ecc_cache_invalidations",
-        "error_induced_misses",
-        "ecc_induced_misses",
-        "victim_decisions",
-        "fills_rejected",
-        "disabled_lines",
-    ];
+        impl $kind {
+            /// Number of counters of this kind.
+            pub const COUNT: usize = [$($name),+].len();
+        }
 
-    /// All counters in index order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::DfhTransitions,
-        Counter::ParityChecks,
-        Counter::ParityMismatches,
-        Counter::SyndromeChecks,
-        Counter::Corrections,
-        Counter::Detections,
-        Counter::EccCacheAccesses,
-        Counter::EccCacheInserts,
-        Counter::EccCachePromotes,
-        Counter::EccCacheDisplacements,
-        Counter::EccCacheInvalidations,
-        Counter::ErrorInducedMisses,
-        Counter::EccInducedMisses,
-        Counter::VictimDecisions,
-        Counter::FillsRejected,
-        Counter::DisabledLines,
-    ];
+        impl $crate::metrics::CounterKind<{ $kind::COUNT }> for $kind {
+            const NAMES: [&'static str; $kind::COUNT] = [$($name),+];
 
-    /// JSON name of this counter.
-    pub fn name(self) -> &'static str {
-        Counter::NAMES[self as usize]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+pub(crate) use counter_kind;
+
+/// `N` monotonic counters named by the counter kind `K`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CounterSet<K, const N: usize> {
+    values: [u64; N],
+    kind: PhantomData<K>,
+}
+
+impl<K: CounterKind<N>, const N: usize> CounterSet<K, N> {
+    /// An all-zero set (the merge identity).
+    pub fn new() -> Self {
+        CounterSet {
+            values: [0; N],
+            kind: PhantomData,
+        }
+    }
+
+    /// Adds `n` to a counter.
+    pub fn add(&mut self, counter: K, n: u64) {
+        self.values[counter.index()] += n;
+    }
+
+    /// Overwrites a counter (for gauges snapshotted at end of run).
+    pub fn set(&mut self, counter: K, value: u64) {
+        self.values[counter.index()] = value;
+    }
+
+    /// Current value of a counter.
+    pub fn get(&self, counter: K) -> u64 {
+        self.values[counter.index()]
+    }
+
+    /// Element-wise addition of `other` into `self`. Associative and
+    /// commutative; [`CounterSet::new`] is the identity.
+    pub fn merge(&mut self, other: &Self) {
+        for (c, o) in self.values.iter_mut().zip(other.values.iter()) {
+            *c += o;
+        }
+    }
+
+    /// Appends the counters as a compact `{"name":value,...}` object in
+    /// declaration order, so equal sets produce identical bytes.
+    pub fn write_json(&self, out: &mut String) {
+        use std::fmt::Write;
+        out.push('{');
+        for (i, (name, value)) in K::NAMES.iter().zip(self.values.iter()).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{name}\":{value}");
+        }
+        out.push('}');
+    }
+}
+
+impl<K: CounterKind<N>, const N: usize> Default for CounterSet<K, N> {
+    fn default() -> Self {
+        CounterSet::new()
+    }
+}
+
+counter_kind! {
+    /// Every monotonic counter the taxonomy can increment.
+    pub enum Counter {
+        DfhTransitions => "dfh_transitions",
+        ParityChecks => "parity_checks",
+        ParityMismatches => "parity_mismatches",
+        SyndromeChecks => "syndrome_checks",
+        Corrections => "corrections",
+        Detections => "detections",
+        EccCacheAccesses => "ecc_cache_accesses",
+        EccCacheInserts => "ecc_cache_inserts",
+        EccCachePromotes => "ecc_cache_promotes",
+        EccCacheDisplacements => "ecc_cache_displacements",
+        EccCacheInvalidations => "ecc_cache_invalidations",
+        ErrorInducedMisses => "error_induced_misses",
+        EccInducedMisses => "ecc_induced_misses",
+        VictimDecisions => "victim_decisions",
+        FillsRejected => "fills_rejected",
+        DisabledLines => "disabled_lines",
     }
 }
 
@@ -154,7 +205,7 @@ impl Histogram {
 /// The aggregate metric state for one simulation (or one sweep cell).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricSet {
-    counters: [u64; Counter::COUNT],
+    counters: CounterSet<Counter, { Counter::COUNT }>,
     /// `dfh_transitions[from][to]` transition counts (2-bit encoding).
     pub dfh_transitions: [[u64; 4]; 4],
     /// End-of-run DFH population `[Stable0, Unknown, Stable1, Disabled]`
@@ -176,17 +227,17 @@ impl MetricSet {
 
     /// Adds `n` to a counter.
     pub fn add(&mut self, counter: Counter, n: u64) {
-        self.counters[counter as usize] += n;
+        self.counters.add(counter, n);
     }
 
     /// Overwrites a counter (for gauges snapshotted at end of run).
     pub fn set(&mut self, counter: Counter, value: u64) {
-        self.counters[counter as usize] = value;
+        self.counters.set(counter, value);
     }
 
     /// Current value of a counter.
     pub fn get(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize]
+        self.counters.get(counter)
     }
 
     /// Records one DFH transition (also bumps the flat counter).
@@ -239,9 +290,7 @@ impl MetricSet {
     /// Element-wise addition of `other` into `self`. Associative and
     /// commutative; `MetricSet::new()` is the identity.
     pub fn merge(&mut self, other: &MetricSet) {
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c += o;
-        }
+        self.counters.merge(&other.counters);
         for (row, orow) in self
             .dfh_transitions
             .iter_mut()
@@ -263,14 +312,9 @@ impl MetricSet {
     /// fixed, so equal sets produce identical bytes.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::from("{\"counters\":{");
-        for (i, name) in Counter::NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", self.counters[i]);
-        }
-        out.push_str("},\"dfh_transitions\":[");
+        let mut out = String::from("{\"counters\":");
+        self.counters.write_json(&mut out);
+        out.push_str(",\"dfh_transitions\":[");
         for (i, row) in self.dfh_transitions.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -314,8 +358,14 @@ mod tests {
 
     fn sample(seed: u64) -> MetricSet {
         let mut m = MetricSet::new();
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            m.add(*c, seed.wrapping_mul(i as u64 + 1) % 97);
+        let counters = [
+            Counter::ParityChecks,
+            Counter::SyndromeChecks,
+            Counter::EccCacheAccesses,
+            Counter::DisabledLines,
+        ];
+        for (i, c) in counters.into_iter().enumerate() {
+            m.add(c, seed.wrapping_mul(i as u64 + 1) % 97);
         }
         m.record_transition((seed % 4) as u8, ((seed + 1) % 4) as u8);
         if seed.is_multiple_of(2) {
@@ -429,16 +479,44 @@ mod tests {
         assert_eq!(m.get(Counter::EccInducedMisses), 1);
     }
 
-    #[test]
-    fn json_shape_is_stable_and_parses() {
-        let m = sample(5);
-        let text = m.to_json();
-        let v = crate::json::parse(&text).expect("metric JSON parses");
-        let counters = v.get("counters").expect("counters object");
-        for name in Counter::NAMES {
-            assert!(counters.get(name).is_some(), "missing counter {name}");
+    counter_kind! {
+        enum Probe {
+            First => "first",
+            Second => "second",
+            Third => "third",
         }
-        assert!(v.get("dfh_transitions").is_some());
-        assert!(v.get("ecc_occupancy").is_some());
+    }
+
+    #[test]
+    fn counter_set_merges_elementwise_and_writes_json_in_order() {
+        type Probes = CounterSet<Probe, { Probe::COUNT }>;
+        let mut a = Probes::new();
+        a.add(Probe::Third, 3);
+        a.set(Probe::First, 5);
+        let mut b = Probes::new();
+        b.add(Probe::Third, 4);
+        b.add(Probe::Second, 1);
+        let mut ab = a;
+        ab.merge(&b);
+        assert_eq!(
+            (
+                ab.get(Probe::First),
+                ab.get(Probe::Second),
+                ab.get(Probe::Third)
+            ),
+            (5, 1, 7)
+        );
+        let mut ba = b;
+        ba.merge(&a);
+        assert_eq!(ba, ab);
+        let mut with_id = ab;
+        with_id.merge(&Probes::default());
+        assert_eq!(with_id, ab);
+
+        let mut json = String::new();
+        ab.write_json(&mut json);
+        assert_eq!(json, r#"{"first":5,"second":1,"third":7}"#);
+        let v = crate::json::parse(&json).expect("counter JSON parses");
+        assert_eq!(v.get("third").and_then(|c| c.as_u64()), Some(7));
     }
 }

@@ -1,18 +1,16 @@
 //! Observability for the `killi-serve` daemon.
 //!
-//! The sweep service has its own event taxonomy and counter registry,
-//! deliberately separate from the simulator-side [`crate::KilliEvent`] /
-//! [`crate::MetricSet`] pair: the simulator counters are part of the
-//! byte-stable `killi-sweep/v2` report schema and cannot grow without
-//! invalidating golden files, while the service counters describe the
-//! daemon's lifecycle (accepts, queue churn, cache behaviour) and are
-//! free to evolve with it.
-//!
-//! [`ServeMetrics`] follows the same design rules as `MetricSet`: plain
-//! data, element-wise [`ServeMetrics::merge`], fixed JSON field order so
-//! equal snapshots serialise to identical bytes, and a single
-//! [`ServeMetrics::apply`] routing point so every event increments its
-//! counters in exactly one place.
+//! The service records [`ServeEvent`]s and counts them in
+//! [`ServeMetrics`], the crate's one [`CounterSet`] instantiated over
+//! [`ServeCounter`]. The counters stay apart from the simulator's
+//! [`crate::MetricSet`]: those are part of the byte-stable
+//! `killi-sweep/v2` report schema, while these describe the daemon's
+//! lifecycle (accepts, queue churn, cache behaviour) and are served
+//! under their own `killi-serve-metrics/v1` schema from `/v1/metrics`.
+//! [`ServeMetrics::apply`] is the single place an event increments its
+//! counters.
+
+use crate::metrics::{counter_kind, CounterSet};
 
 /// Job identifiers are 128-bit content hashes, rendered as 32 hex chars.
 pub type JobId = u128;
@@ -60,111 +58,28 @@ pub enum ServeEvent {
     BadRequest,
 }
 
-impl ServeEvent {
-    /// Stable event-kind label (used in logs and tests).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ServeEvent::JobAccepted { .. } => "job_accepted",
-            ServeEvent::JobEnqueued { .. } => "job_enqueued",
-            ServeEvent::JobDequeued { .. } => "job_dequeued",
-            ServeEvent::JobCompleted { .. } => "job_completed",
-            ServeEvent::JobFailed { .. } => "job_failed",
-            ServeEvent::CacheHit { .. } => "cache_hit",
-            ServeEvent::CacheInsert { .. } => "cache_insert",
-            ServeEvent::CacheEvict { .. } => "cache_evict",
-            ServeEvent::QueueFull { .. } => "queue_full",
-            ServeEvent::Draining => "draining",
-            ServeEvent::BadRequest => "bad_request",
-        }
-    }
-}
-
-/// Every monotonic counter the service taxonomy can increment.
-///
-/// The discriminant doubles as the index into `ServeMetrics::counters`,
-/// and [`ServeCounter::NAMES`] carries the stable JSON names in the
-/// same order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum ServeCounter {
-    JobsAccepted = 0,
-    JobsEnqueued,
-    JobsDequeued,
-    JobsCompleted,
-    JobsFailed,
-    SweepExecutions,
-    CacheHits,
-    CacheInserts,
-    CacheEvictions,
-    RejectedQueueFull,
-    RejectedDraining,
-    BadRequests,
-}
-
-impl ServeCounter {
-    /// Number of counters (length of [`ServeCounter::NAMES`]).
-    pub const COUNT: usize = 12;
-
-    /// Stable JSON names, indexed by discriminant.
-    pub const NAMES: [&'static str; ServeCounter::COUNT] = [
-        "jobs_accepted",
-        "jobs_enqueued",
-        "jobs_dequeued",
-        "jobs_completed",
-        "jobs_failed",
-        "sweep_executions",
-        "cache_hits",
-        "cache_inserts",
-        "cache_evictions",
-        "rejected_queue_full",
-        "rejected_draining",
-        "bad_requests",
-    ];
-
-    /// All counters in index order.
-    pub const ALL: [ServeCounter; ServeCounter::COUNT] = [
-        ServeCounter::JobsAccepted,
-        ServeCounter::JobsEnqueued,
-        ServeCounter::JobsDequeued,
-        ServeCounter::JobsCompleted,
-        ServeCounter::JobsFailed,
-        ServeCounter::SweepExecutions,
-        ServeCounter::CacheHits,
-        ServeCounter::CacheInserts,
-        ServeCounter::CacheEvictions,
-        ServeCounter::RejectedQueueFull,
-        ServeCounter::RejectedDraining,
-        ServeCounter::BadRequests,
-    ];
-
-    /// JSON name of this counter.
-    pub fn name(self) -> &'static str {
-        ServeCounter::NAMES[self as usize]
+counter_kind! {
+    /// Every monotonic counter the service taxonomy can increment.
+    pub enum ServeCounter {
+        JobsAccepted => "jobs_accepted",
+        JobsEnqueued => "jobs_enqueued",
+        JobsDequeued => "jobs_dequeued",
+        JobsCompleted => "jobs_completed",
+        JobsFailed => "jobs_failed",
+        SweepExecutions => "sweep_executions",
+        CacheHits => "cache_hits",
+        CacheInserts => "cache_inserts",
+        CacheEvictions => "cache_evictions",
+        RejectedQueueFull => "rejected_queue_full",
+        RejectedDraining => "rejected_draining",
+        BadRequests => "bad_requests",
     }
 }
 
 /// Aggregate counter state for the daemon.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeMetrics {
-    counters: [u64; ServeCounter::COUNT],
-}
+pub type ServeMetrics = CounterSet<ServeCounter, { ServeCounter::COUNT }>;
 
 impl ServeMetrics {
-    /// An all-zero set (the merge identity).
-    pub fn new() -> Self {
-        ServeMetrics::default()
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, counter: ServeCounter, n: u64) {
-        self.counters[counter as usize] += n;
-    }
-
-    /// Current value of a counter.
-    pub fn get(&self, counter: ServeCounter) -> u64 {
-        self.counters[counter as usize]
-    }
-
     /// Routes an event to the counters it implies — the single place
     /// the service taxonomy maps onto the registry.
     pub fn apply(&mut self, event: &ServeEvent) {
@@ -186,26 +101,12 @@ impl ServeMetrics {
         }
     }
 
-    /// Element-wise addition of `other` into `self`. Associative and
-    /// commutative; `ServeMetrics::new()` is the identity.
-    pub fn merge(&mut self, other: &ServeMetrics) {
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c += o;
-        }
-    }
-
-    /// Serialises the set as a compact JSON object. Field order is
-    /// fixed, so equal snapshots produce identical bytes.
+    /// Serialises the set under the `killi-serve-metrics/v1` schema.
+    /// Field order is fixed, so equal snapshots produce identical bytes.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\"schema\":\"killi-serve-metrics/v1\",\"counters\":{");
-        for (i, name) in ServeCounter::NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", self.counters[i]);
-        }
-        out.push_str("}}");
+        let mut out = String::from("{\"schema\":\"killi-serve-metrics/v1\",\"counters\":");
+        self.write_json(&mut out);
+        out.push('}');
         out
     }
 }
@@ -245,67 +146,47 @@ mod tests {
         for e in &events {
             m.apply(e);
         }
-        for c in ServeCounter::ALL {
-            assert!(m.get(c) >= 1, "counter {} untouched", c.name());
+        let v = crate::json::parse(&m.to_json()).expect("serve metrics JSON parses");
+        let Some(crate::JsonValue::Object(counters)) = v.get("counters") else {
+            panic!("no counters object");
+        };
+        for (name, value) in counters {
+            assert!(value.as_u64() >= Some(1), "counter {name} untouched");
         }
         // JobDequeued implies one sweep execution.
         assert_eq!(m.get(ServeCounter::SweepExecutions), 1);
     }
 
     #[test]
-    fn merge_is_elementwise_with_identity() {
-        let mut a = ServeMetrics::new();
-        a.add(ServeCounter::CacheHits, 3);
-        let mut b = ServeMetrics::new();
-        b.add(ServeCounter::CacheHits, 4);
-        b.add(ServeCounter::JobsFailed, 1);
-        let mut ab = a;
-        ab.merge(&b);
-        assert_eq!(ab.get(ServeCounter::CacheHits), 7);
-        assert_eq!(ab.get(ServeCounter::JobsFailed), 1);
-        let mut with_id = ab;
-        with_id.merge(&ServeMetrics::new());
-        assert_eq!(with_id, ab);
-    }
-
-    #[test]
-    fn json_shape_is_stable_and_parses() {
+    fn json_bytes_are_pinned() {
+        // `/v1/metrics` serves these bytes and clients parse them by
+        // name; pin both the field order and the name-to-counter map.
         let mut m = ServeMetrics::new();
-        m.add(ServeCounter::JobsAccepted, 5);
-        let text = m.to_json();
-        let v = crate::json::parse(&text).expect("serve metrics JSON parses");
-        assert_eq!(
-            v.get("schema").and_then(|s| s.as_str()),
-            Some("killi-serve-metrics/v1")
-        );
-        let counters = v.get("counters").expect("counters object");
-        for name in ServeCounter::NAMES {
-            assert!(counters.get(name).is_some(), "missing counter {name}");
-        }
-        assert_eq!(
-            counters.get("jobs_accepted").and_then(|c| c.as_u64()),
-            Some(5)
-        );
-    }
-
-    #[test]
-    fn event_kinds_are_distinct() {
-        let kinds = [
-            ServeEvent::JobAccepted { job: 0 }.kind(),
-            ServeEvent::JobEnqueued { job: 0, depth: 0 }.kind(),
-            ServeEvent::JobDequeued { job: 0, worker: 0 }.kind(),
-            ServeEvent::JobCompleted { job: 0 }.kind(),
-            ServeEvent::JobFailed { job: 0 }.kind(),
-            ServeEvent::CacheHit { job: 0 }.kind(),
-            ServeEvent::CacheInsert { job: 0 }.kind(),
-            ServeEvent::CacheEvict { job: 0 }.kind(),
-            ServeEvent::QueueFull { depth: 0 }.kind(),
-            ServeEvent::Draining.kind(),
-            ServeEvent::BadRequest.kind(),
+        let counters = [
+            ServeCounter::JobsAccepted,
+            ServeCounter::JobsEnqueued,
+            ServeCounter::JobsDequeued,
+            ServeCounter::JobsCompleted,
+            ServeCounter::JobsFailed,
+            ServeCounter::SweepExecutions,
+            ServeCounter::CacheHits,
+            ServeCounter::CacheInserts,
+            ServeCounter::CacheEvictions,
+            ServeCounter::RejectedQueueFull,
+            ServeCounter::RejectedDraining,
+            ServeCounter::BadRequests,
         ];
-        let mut seen = std::collections::HashSet::new();
-        for k in kinds {
-            assert!(seen.insert(k), "duplicate event kind {k}");
+        for (i, c) in counters.into_iter().enumerate() {
+            m.add(c, 10 + i as u64);
         }
+        m.apply(&ServeEvent::JobDequeued { job: 7, worker: 0 });
+        assert_eq!(
+            m.to_json(),
+            "{\"schema\":\"killi-serve-metrics/v1\",\"counters\":{\
+             \"jobs_accepted\":10,\"jobs_enqueued\":11,\"jobs_dequeued\":13,\
+             \"jobs_completed\":13,\"jobs_failed\":14,\"sweep_executions\":16,\
+             \"cache_hits\":16,\"cache_inserts\":17,\"cache_evictions\":18,\
+             \"rejected_queue_full\":19,\"rejected_draining\":20,\"bad_requests\":21}}"
+        );
     }
 }

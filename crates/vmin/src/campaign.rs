@@ -25,7 +25,6 @@ use killi_bench::sweep::{validate_voltage_grid, Accumulator};
 use killi_fault::model::default_registry as default_fault_registry;
 use killi_fault::rng::derive_seed;
 use killi_fault::{CellFault, FaultModel, FreqGhz, NormVdd};
-use killi_obs::{VminEvent, VminMetrics};
 
 use crate::search::{grid_vmin, SearchMode, SearchStats};
 use crate::store::{
@@ -319,15 +318,19 @@ pub struct VminReport {
     pub stats: SearchStats,
 }
 
-/// A campaign result: the deterministic report plus the full (path-
-/// dependent) observability counters, kept apart so the report bytes
-/// stay identical with and without a die store.
+/// A campaign result: the deterministic report plus the die-store
+/// traffic, kept apart so the report bytes stay identical with and
+/// without a die store. The search work is in the report's
+/// [`VminReport::stats`].
 #[derive(Debug, Clone)]
 pub struct CampaignOutput {
     /// The deterministic `killi-vmin/v1` report.
     pub report: VminReport,
-    /// Full campaign counters (includes store traffic).
-    pub metrics: VminMetrics,
+    /// Bytes written building the die store (0 when there is no store
+    /// or an existing one was reused).
+    pub store_bytes_written: u64,
+    /// Dies streamed out of the die store (0 on the direct path).
+    pub store_dies_read: u64,
 }
 
 fn json_f64(x: f64) -> String {
@@ -640,8 +643,7 @@ fn build_store(
     c: &VminConfig,
     model: &dyn FaultModel,
     fm_label: &str,
-    metrics: &mut VminMetrics,
-) -> Result<(), CampaignError> {
+) -> Result<u64, CampaignError> {
     let meta = StoreMeta {
         root_seed: c.root_seed,
         lines: c.lines as u32,
@@ -666,12 +668,7 @@ fn build_store(
         }
         start = end;
     }
-    let bytes = writer.finish()?;
-    metrics.apply(&VminEvent::StoreBuilt {
-        dies: c.dies as u64,
-        bytes,
-    });
-    Ok(())
+    Ok(writer.finish()?)
 }
 
 /// Runs a validated campaign: streams (or synthesizes) every die,
@@ -706,22 +703,14 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
 
     let grid_len = c.vdds.len();
     let min_usable = (c.target * c.lines as f64).ceil() as u32;
-    let mut metrics = VminMetrics::new();
-    metrics.apply(&VminEvent::CampaignStarted {
-        dies: c.dies as u64,
-        schemes: c.schemes.len() as u64,
-    });
-
+    let mut store_bytes_written = 0;
     let mut reader = match &c.store {
         Some(path) => {
             if !path.exists() {
-                build_store(path, c, model.as_ref(), &fm_label, &mut metrics)?;
+                store_bytes_written = build_store(path, c, model.as_ref(), &fm_label)?;
             }
             let reader = DieStoreReader::open(path)?;
             check_store_meta(reader.meta(), c, &fm_label)?;
-            metrics.apply(&VminEvent::StoreOpened {
-                dies: reader.meta().dies as u64,
-            });
             Some(reader)
         }
         None => None,
@@ -763,7 +752,6 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
                 let mut records = Vec::with_capacity(end - start);
                 for i in start..end {
                     records.push(r.read_die(i)?);
-                    metrics.apply(&VminEvent::DieStreamed { die: i as u64 });
                 }
                 par_map(threads, &records, progress.as_ref(), |_, rec| {
                     evaluate_die(rec, &ctx)
@@ -782,14 +770,7 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
             }
         };
         // Sequential fold in die order: the only place floats happen.
-        for (offset, outcome) in outcomes.iter().enumerate() {
-            let die = (start + offset) as u64;
-            metrics.apply(&VminEvent::DieEvaluated {
-                die,
-                probes: outcome.stats.probes,
-                binary_searches: outcome.stats.binary_searches,
-                linear_scans: outcome.stats.linear_scans,
-            });
+        for outcome in &outcomes {
             stats.merge(&outcome.stats);
             for (s, bin) in bins.iter_mut().enumerate() {
                 let idx = outcome.vmin_idx[s];
@@ -810,10 +791,6 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
         }
         start = end;
     }
-    metrics.apply(&VminEvent::CampaignCompleted {
-        dies: c.dies as u64,
-    });
-
     Ok(CampaignOutput {
         report: VminReport {
             root_seed: c.root_seed,
@@ -826,7 +803,8 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
             schemes: bins,
             stats,
         },
-        metrics,
+        store_bytes_written,
+        store_dies_read: if reader.is_some() { c.dies as u64 } else { 0 },
     })
 }
 
@@ -1062,15 +1040,13 @@ mod tests {
         // Second run reuses the store rather than rebuilding.
         let reused = run_campaign(&c.validated().unwrap()).unwrap();
         assert_eq!(direct.report.to_json(), reused.report.to_json());
+        assert!(stored.store_bytes_written > 0, "first run builds the store");
         assert_eq!(
-            reused
-                .metrics
-                .get(killi_obs::VminCounter::StoreBytesWritten),
-            0,
+            reused.store_bytes_written, 0,
             "second run must not rebuild the store"
         );
         assert!(
-            reused.metrics.get(killi_obs::VminCounter::StoreDiesRead) > 0,
+            reused.store_dies_read > 0,
             "second run must stream from the store"
         );
         std::fs::remove_file(&path).unwrap();
