@@ -289,7 +289,7 @@ pub fn table6(results: &[RunResult]) -> String {
         let mut n = 0usize;
         for w in Workload::ALL {
             let Some(base) = crate::runner::try_baseline_of(results, w.name()) else {
-                continue; // partial result sets (scaled-down benches)
+                continue; // `run_matrix` over a subset of the workloads
             };
             if let Some(r) = results
                 .iter()
@@ -438,5 +438,52 @@ mod tests {
     fn fig2_renders_with_sampled_map() {
         let s = fig2(3);
         assert!(s.contains("0.625"));
+    }
+
+    /// The `table6` row value of `label`, e.g. `"41.2%"`.
+    fn table6_value<'a>(table: &'a str, label: &str) -> Option<&'a str> {
+        table.lines().find_map(|line| {
+            let mut cells = line.split_whitespace();
+            cells.next().filter(|&c| c == label).and(cells.next())
+        })
+    }
+
+    #[test]
+    fn matrix_reports_render_every_workload_and_scheme() {
+        let mut config = MatrixConfig::paper(300, 42);
+        config.threads = 2;
+        config.gpu.cus = 2;
+        config.gpu.l2.size_bytes = 64 * 1024;
+        let results = perf_matrix(&config);
+        let labels: Vec<String> = SchemeSpec::figure4_set()
+            .iter()
+            .map(SchemeSpec::label)
+            .collect();
+        assert_eq!(results.len(), Workload::ALL.len() * (1 + labels.len()));
+        let (f4, f5, t6) = (fig4(&results), fig5(&results), table6(&results));
+        assert!(f4.contains("geomean"), "{f4}");
+        assert!(f5.contains("Compute-bound") && f5.contains("Memory-bound"));
+        assert!(Workload::ALL
+            .iter()
+            .all(|w| f4.contains(w.name()) && f5.contains(w.name())));
+        for label in &labels {
+            assert!(f4.contains(label.as_str()) && f5.contains(label.as_str()));
+            assert!(table6_value(&t6, label).is_some_and(|v| v.ends_with('%')));
+        }
+
+        // A one-workload result set: table6 skips the workloads without
+        // a baseline run and averages over the one that has it.
+        let hacc: Vec<RunResult> = results
+            .into_iter()
+            .filter(|r| r.workload == Workload::Hacc.name())
+            .collect();
+        let base = baseline_of(&hacc, Workload::Hacc.name());
+        let killi = hacc.iter().find(|r| r.scheme == "killi-1:64").unwrap();
+        let power = PowerModel::paper();
+        let expected = power.normalized(SchemePower::killi(64), &killi.stats, &base.stats);
+        let partial = table6(&hacc);
+        let value = table6_value(&partial, "killi-1:64");
+        assert_eq!(value, Some(pct(expected, 1).as_str()), "{partial}");
+        assert!(labels.iter().all(|l| table6_value(&partial, l).is_some()));
     }
 }

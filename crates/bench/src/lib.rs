@@ -10,10 +10,7 @@
 //! - [`fault_models`] — the fault-model axis: registry re-exports and the
 //!   `stuck-at` helpers every experiment shares,
 //! - [`empirical`] — Monte-Carlo validation of the §5.3 coverage algebra,
-//! - [`report`] — text-table rendering,
-//! - [`timing`] — the in-repo micro-benchmark harness for `benches/`,
-//! - [`perf`] — the `killi bench` before/after suite for the sweep hot
-//!   path (fault-map build, single simulation, full sweep).
+//! - [`report`] — text-table rendering.
 //!
 //! Binaries: `fig1`, `fig2`, `fig4`, `fig5`, `fig6`, `table4`..`table7`,
 //! `ablation`, and `repro` (runs everything, writing `results/*.txt`).
@@ -23,12 +20,10 @@ pub mod empirical;
 pub mod exec;
 pub mod experiments;
 pub mod fault_models;
-pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod schemes;
 pub mod sweep;
-pub mod timing;
 
 /// Reads the per-CU trace length from `KILLI_OPS_PER_CU` (default
 /// `150_000`; tests and CI can shrink it).

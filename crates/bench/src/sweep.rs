@@ -493,8 +493,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepReport {
 
 /// The unshared reference path: every job pays the full dense fault-map
 /// construction and trace generation. Kept as the byte-identity oracle
-/// for [`run_sweep`] and as the "before" side of the perf benchmark
-/// suite (`killi bench`).
+/// for [`run_sweep`]: the perf-equivalence tests compare the
+/// shared-artifact path against it.
 pub fn run_sweep_reference(config: &SweepConfig) -> SweepReport {
     run_sweep_mode(config, ArtifactMode::PerJob)
 }

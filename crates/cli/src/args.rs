@@ -76,9 +76,9 @@ impl From<std::io::Error> for ArgError {
     }
 }
 
-/// Flags that take no value: their presence is the value (`--quick`,
-/// `--build-check`, `--help`, `--wait`).
-const BOOLEAN_FLAGS: [&str; 4] = ["quick", "build-check", "help", "wait"];
+/// Flags that take no value: their presence is the value
+/// (`--build-check`, `--help`, `--wait`).
+const BOOLEAN_FLAGS: [&str; 3] = ["build-check", "help", "wait"];
 
 impl Args {
     /// Parses an iterator of arguments (exclusive of the binary name).
@@ -336,11 +336,12 @@ mod tests {
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let a = parse(&["bench", "--quick", "--out", "x.json"]).unwrap();
-        assert!(a.has("quick"));
+        let a = parse(&["fetch", "--wait", "--out", "x.json"]).unwrap();
+        assert!(a.has("wait"));
         assert_eq!(a.get_or("out", ""), "x.json");
-        let trailing = parse(&["bench", "--quick"]).unwrap();
-        assert!(trailing.has("quick"));
+        let trailing = parse(&["fetch", "--job", "j1", "--wait"]).unwrap();
+        assert!(trailing.has("wait"));
+        assert_eq!(trailing.get_or("job", ""), "j1");
         let schemes = parse(&["schemes", "--build-check"]).unwrap();
         assert!(schemes.has("build-check"));
         let help = parse(&["serve", "--help"]).unwrap();

@@ -15,8 +15,6 @@
 //!                 [--scheme-file FILE.json] [--fault-model stuck-at]
 //!                 [--ops 10000] [--seed 42] [--l2kb 512] [--out FILE.json]
 //!                 [--trace FILE.jsonl] [--trace-capacity 4096]
-//! killi bench     [--quick] [--out results/BENCH_perf.json]
-//!                 | --check FILE.json
 //! killi record    --out trace.ktrc [--workload fft] [--ops 100000]
 //! killi replay    --in trace.ktrc [--scheme killi] [--vdd 0.625]
 //!                 [--fault-model stuck-at]
@@ -41,7 +39,6 @@ use args::{ArgError, Args};
 use killi_bench::fault_models::{
     build_fault_model, default_fault_registry, fault_model_label, FaultModelConfig, STUCK_AT,
 };
-use killi_bench::perf::{run_perf_suite, BENCHMARK_NAMES};
 use killi_bench::report::Table;
 use killi_bench::runner::{baseline_of, run_cell, run_matrix, MatrixConfig, ObsConfig};
 use killi_bench::schemes::{
@@ -58,7 +55,6 @@ use killi_obs::params::{Config, Descriptor, Registry};
 use killi_obs::{parse_json, JsonValue};
 use killi_serve::{Client, Server, ServerConfig};
 use killi_sim::gpu::{GpuConfig, GpuSim};
-use killi_vmin::bench::{run_vmin_bench, VMIN_BENCHMARK_NAMES};
 use killi_vmin::{run_campaign, SearchMode, VminConfig, DEFAULT_GRID};
 use killi_workloads::{TraceParams, Workload};
 
@@ -113,18 +109,6 @@ USAGE:
   killi vmin      --check FILE.json
                   Validates a killi-vmin/v1 report (schema + binning
                   invariants).
-  killi bench     [--quick] [--suite perf|vmin] [--out FILE.json]
-                  Before/after performance suite as killi-bench/v1 JSON.
-                  Suite 'perf' (default, results/BENCH_perf.json) times the
-                  sweep hot path (fault-map build, single simulation, full
-                  sweep); suite 'vmin' (results/BENCH_vmin.json) times a
-                  fleet campaign with the exhaustive scan as 'before' and
-                  the nesting-aware search as 'after', recording dies/sec
-                  throughput. --quick runs a seconds-scale configuration
-                  for CI smoke.
-  killi bench     --check FILE.json
-                  Validates a killi-bench/v1 report (schema + the expected
-                  benchmark entries of whichever suite produced it).
   killi record    --out trace.ktrc [--workload fft] [--ops 100000] [--seed 42]
   killi replay    --in trace.ktrc  [--scheme killi] [--ratio 64] [--vdd 0.625]
                   [--fault-model stuck-at]
@@ -178,7 +162,6 @@ const COMMANDS: &[(&str, Command)] = &[
     ("simulate", cmd_simulate),
     ("sweep", cmd_sweep),
     ("vmin", cmd_vmin),
-    ("bench", cmd_bench),
     ("record", cmd_record),
     ("replay", cmd_replay),
     ("profile", cmd_profile),
@@ -827,105 +810,6 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
     );
     write_creating_dir(&out, report.to_json())?;
     println!("wrote {out}");
-    Ok(())
-}
-
-fn cmd_bench(args: &Args) -> Result<(), ArgError> {
-    if args.has("check") {
-        return check_bench_report(&args.require("check", "bench --check")?);
-    }
-    let quick = args.has("quick");
-    let suite = args.get_or("suite", "perf");
-    let default_out = match suite.as_str() {
-        "vmin" => "results/BENCH_vmin.json",
-        _ => "results/BENCH_perf.json",
-    };
-    let out = args.get_or("out", default_out);
-    let report = match suite.as_str() {
-        "perf" => {
-            eprintln!(
-                "running the {} perf suite (before = unshared reference path, \
-                 after = shared-artifact path) ...",
-                if quick { "quick" } else { "full" }
-            );
-            run_perf_suite(quick)
-        }
-        "vmin" => {
-            eprintln!(
-                "running the {} vmin campaign suite (before = exhaustive scan, \
-                 after = nesting-aware search) ...",
-                if quick { "quick" } else { "full" }
-            );
-            run_vmin_bench(quick)
-        }
-        other => {
-            return Err(ArgError::invalid(
-                "suite",
-                other,
-                "expected 'perf' or 'vmin'".to_string(),
-            ))
-        }
-    };
-    println!(
-        "{} ({}):\n{}",
-        if suite == "vmin" {
-            "vmin campaign benchmarks"
-        } else {
-            "sweep hot-path benchmarks"
-        },
-        if quick {
-            "quick configuration"
-        } else {
-            "full configuration"
-        },
-        report.summary_table().render()
-    );
-    write_creating_dir(&out, report.to_json())?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// Validates a `killi-bench/v1` report: parses, carries the schema, and
-/// has every expected benchmark entry with numeric timings. Accepts
-/// both suites — the perf suite's name set and the vmin campaign's
-/// (detected by the presence of a `vmin_campaign` entry).
-fn check_bench_report(path: &str) -> Result<(), ArgError> {
-    let bad = |message: String| io_msg(format!("{path}: {message}"));
-    let text = std::fs::read_to_string(path)?;
-    let root = parse_json(&text).map_err(|e| bad(e.to_string()))?;
-    let schema = root.get("schema").and_then(|v| v.as_str()).unwrap_or("");
-    if schema != "killi-bench/v1" {
-        return Err(bad(format!(
-            "schema '{schema}' is not killi-bench/v1 (re-run killi bench)"
-        )));
-    }
-    let benchmarks = root
-        .get("benchmarks")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| bad("report has no benchmarks array".to_string()))?;
-    let is_vmin = benchmarks
-        .iter()
-        .any(|b| b.get("name").and_then(|v| v.as_str()) == Some(VMIN_BENCHMARK_NAMES[0]));
-    let expected: &[&str] = if is_vmin {
-        &VMIN_BENCHMARK_NAMES
-    } else {
-        &BENCHMARK_NAMES
-    };
-    for &name in expected {
-        let entry = benchmarks
-            .iter()
-            .find(|b| b.get("name").and_then(|v| v.as_str()) == Some(name))
-            .ok_or_else(|| bad(format!("missing benchmark '{name}'")))?;
-        for field in ["before_ns", "after_ns"] {
-            if entry.get(field).and_then(|v| v.as_u64()).is_none() {
-                return Err(bad(format!("'{name}' has no numeric '{field}'")));
-            }
-        }
-        if entry.get("speedup").and_then(|v| v.as_f64()).is_none() {
-            return Err(bad(format!("'{name}' has no numeric 'speedup'")));
-        }
-    }
-    println!("{path}: OK ({} benchmark(s))", benchmarks.len());
     Ok(())
 }
 

@@ -26,7 +26,6 @@
 //!   report (Vmin CDF with exact order statistics, capacity-vs-vdd
 //!   curves, yield tables).
 
-pub mod bench;
 pub mod campaign;
 pub mod search;
 pub mod store;

@@ -44,7 +44,7 @@ pub enum SearchMode {
     #[default]
     Auto,
     /// Always scan linearly — the oracle the property tests and the
-    /// `killi bench --suite vmin` "before" side compare against.
+    /// campaign tests compare the bisection against.
     Exhaustive,
 }
 

@@ -355,7 +355,9 @@ impl DieStoreReader {
         let index_offset = u64_of(&footer[0..8]);
         let checksum = u64_of(&footer[8..16]);
         let index_len = 8u64 * dies as u64;
-        if index_offset < header_end || index_offset + index_len + 24 != file_len {
+        // `index_offset` is unchecked file data: a corrupt footer must
+        // fail as a format error, not overflow.
+        if index_offset < header_end || index_offset.checked_add(index_len + 24) != Some(file_len) {
             return format_err("index offset inconsistent with file size");
         }
 
@@ -373,7 +375,7 @@ impl DieStoreReader {
             }
         }
         if let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) {
-            if first != header_end || last + 12 > index_offset {
+            if first != header_end || last > index_offset.saturating_sub(12) {
                 return format_err("index offsets outside the record region");
             }
         }
@@ -567,6 +569,31 @@ mod tests {
         // Flipped header byte breaks the checksum.
         let mut bad = good.clone();
         bad[20] ^= 0xff;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            DieStoreReader::open(&path),
+            Err(StoreError::Format { .. })
+        ));
+
+        // A footer index offset near u64::MAX.
+        let footer = good.len() - 24;
+        let mut bad = good.clone();
+        bad[footer..footer + 8].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            DieStoreReader::open(&path),
+            Err(StoreError::Format { .. })
+        ));
+
+        // A last record offset near u64::MAX behind a valid checksum.
+        let mut bad = good.clone();
+        let index = footer - 16;
+        bad[index + 8..footer].copy_from_slice(&(u64::MAX - 4).to_le_bytes());
+        let checksum = fnv1a(
+            fnv1a(FNV_OFFSET, &header_bytes(&meta(2))),
+            &bad[index..footer],
+        );
+        bad[footer + 8..footer + 16].copy_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
             DieStoreReader::open(&path),
