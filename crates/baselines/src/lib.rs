@@ -135,7 +135,12 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
                 default: ParamValue::U64(2),
             },
         ],
-        label: |_| "ms-ecc".to_string(),
+        // The paper's OLSC(8, 2) keeps the bare name every pinned report
+        // uses; any other geometry names itself.
+        label: |p| match (p.u64("m"), p.u64("t")) {
+            (8, 2) => "ms-ecc".to_string(),
+            (m, t) => format!("ms-ecc-m{m}t{t}"),
+        },
         build: |p, ctx| {
             let scheme = msecc::build(
                 Arc::clone(&ctx.fault_map),

@@ -54,6 +54,12 @@ pub enum SweepConfigError {
         /// What is wrong with the grid.
         reason: String,
     },
+    /// Two scheme configs resolve to one report label, so their cells
+    /// could not be told apart in the report.
+    DuplicateLabel {
+        /// The label both configs share.
+        label: String,
+    },
 }
 
 impl std::fmt::Display for SweepConfigError {
@@ -62,6 +68,9 @@ impl std::fmt::Display for SweepConfigError {
             SweepConfigError::Registry(e) => write!(f, "{e}"),
             SweepConfigError::VoltageGrid { reason } => {
                 write!(f, "invalid voltage grid: {reason}")
+            }
+            SweepConfigError::DuplicateLabel { label } => {
+                write!(f, "two schemes share the report label `{label}`")
             }
         }
     }
@@ -273,8 +282,14 @@ impl SweepConfig {
             Arc::new(FaultMap::fault_free(self.gpu.l2.lines())),
             self.gpu.l2,
         );
+        let mut labels = Vec::with_capacity(self.schemes.len());
         for scheme in &self.schemes {
             build_scheme(scheme, &ctx)?;
+            let label = scheme_label(scheme)?;
+            if labels.contains(&label) {
+                return Err(SweepConfigError::DuplicateLabel { label });
+            }
+            labels.push(label);
         }
         build_fault_model(&self.fault_model)?;
         validate_voltage_grid(&self.vdds)
@@ -1024,6 +1039,51 @@ mod tests {
             };
             assert!(config.validate().is_ok());
         }
+    }
+
+    #[test]
+    fn validate_rejects_schemes_sharing_a_label() {
+        let config = SweepConfig {
+            schemes: vec![
+                SchemeConfig::new("ms-ecc"),
+                SchemeConfig::parse("ms-ecc:m=8").unwrap(),
+            ],
+            ..tiny_sweep()
+        };
+        assert_eq!(
+            config.validate(),
+            Err(SweepConfigError::DuplicateLabel {
+                label: "ms-ecc".to_string()
+            })
+        );
+        // Non-default MS-ECC geometries and ablation ratios name
+        // themselves, so a sweep over them validates.
+        let config = SweepConfig {
+            schemes: vec![
+                SchemeConfig::new("ms-ecc"),
+                SchemeConfig::parse("ms-ecc:m=16,t=4").unwrap(),
+                SchemeConfig::parse("ms-ecc:m=4,t=1").unwrap(),
+                SchemeConfig::new("killi-no-victim-prio"),
+                SchemeConfig::parse("killi-no-victim-prio:ratio=16").unwrap(),
+            ],
+            ..tiny_sweep()
+        };
+        assert_eq!(config.validate(), Ok(()));
+        let labels: Vec<String> = config
+            .schemes
+            .iter()
+            .map(|s| scheme_label(s).unwrap())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "ms-ecc",
+                "ms-ecc-m16t4",
+                "ms-ecc-m4t1",
+                "killi-no-victim-prio",
+                "killi-no-victim-prio-1:16"
+            ]
+        );
     }
 
     #[test]

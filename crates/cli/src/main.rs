@@ -89,7 +89,8 @@ USAGE:
                   seed-derived replicate fault maps, written as JSON.
                   --scheme entries accept registry shorthand, e.g.
                   killi:ratio=16,ecc_sets=64,ecc_ways=8; --scheme-file
-                  reads a JSON list of {\"scheme\": ..., params} objects.
+                  reads a JSON list of {\"name\": ..., \"params\": {...}}
+                  objects.
                   --fault-model picks the map generator (see
                   'killi fault-models'), e.g. transient:rate=0.001.
   killi vmin      [--dies 100] [--lines 4096] [--target 0.99] [--seed 42]
@@ -1196,4 +1197,41 @@ fn cmd_fetch(args: &Args) -> Result<(), ArgError> {
         eprintln!("wrote {out} ({} bytes)", resp.body.len());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Writes `text` to a fresh scheme file and reads it back.
+    fn scheme_file(name: &str, text: &str) -> Result<Vec<SchemeConfig>, ArgError> {
+        let path =
+            std::env::temp_dir().join(format!("killi-cli-{}-{name}.json", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let result = read_scheme_file(path.to_str().unwrap());
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
+    #[test]
+    fn scheme_file_reads_params_under_params() {
+        let list = scheme_file(
+            "ok",
+            r#"[{"name": "ms-ecc", "params": {"m": 16, "t": 4}}, {"name": "dected"}]"#,
+        )
+        .unwrap();
+        assert_eq!(list.len(), 2);
+        assert_eq!(list[0].get("m"), Some(&ParamValue::U64(16)));
+        assert_eq!(scheme_label(&list[0]).unwrap(), "ms-ecc-m16t4");
+    }
+
+    #[test]
+    fn scheme_file_rejects_params_beside_the_name() {
+        // The geometry keys are misplaced: they must fail, not silently
+        // build the default OLSC(8, 2).
+        let err = scheme_file("misplaced", r#"[{"name": "ms-ecc", "m": 16, "t": 4}]"#)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("`m`"), "{err}");
+    }
 }

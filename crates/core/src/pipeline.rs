@@ -808,11 +808,6 @@ where
         &self.classifier
     }
 
-    /// Mutable classifier access (scheme-specific introspection).
-    pub fn classifier_mut(&mut self) -> &mut C {
-        &mut self.classifier
-    }
-
     /// The codec layer.
     pub fn codec(&self) -> &D {
         &self.codec

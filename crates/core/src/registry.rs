@@ -379,6 +379,18 @@ fn killi_label(prefix: &str, p: &ResolvedParams) -> String {
     }
 }
 
+/// Label of a §4.4 ablation entry: its bare name at the paper's default
+/// geometry (`ratio` 64, no explicit sets), else the name plus the
+/// geometry suffix of [`killi_label`], so ablations at different ECC-cache
+/// sizes stay distinguishable in one report.
+fn ablation_label(name: &str, p: &ResolvedParams) -> String {
+    if p.u64("ecc_sets") == 0 && p.u64("ratio") == 64 {
+        name.to_string()
+    } else {
+        killi_label(name, p)
+    }
+}
+
 /// The Killi steady state: segmented parity classifies lines over the
 /// data payload plus the 4 stable-mode parity cells, and the decoupled
 /// ECC cache's SECDED keeps any single-fault line usable.
@@ -456,7 +468,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         name: "killi-no-victim-prio",
         doc: "Killi ablation: §4.4 victim priority off",
         params: killi_core_params(64),
-        label: |_| "killi-no-victim-prio".to_string(),
+        label: |p| ablation_label("killi-no-victim-prio", p),
         build: |p, ctx| build_killi(p, ctx, |c| c.victim_priority = false),
         admissibility: |_| KILLI_RULE,
     });
@@ -465,7 +477,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         name: "killi-no-evict-train",
         doc: "Killi ablation: §4.4 eviction training off",
         params: killi_core_params(64),
-        label: |_| "killi-no-evict-train".to_string(),
+        label: |p| ablation_label("killi-no-evict-train", p),
         build: |p, ctx| build_killi(p, ctx, |c| c.eviction_training = false),
         admissibility: |_| KILLI_RULE,
     });
@@ -474,7 +486,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         name: "killi-no-promotion",
         doc: "Killi ablation: §4.4 coordinated promotion off",
         params: killi_core_params(64),
-        label: |_| "killi-no-promotion".to_string(),
+        label: |p| ablation_label("killi-no-promotion", p),
         build: |p, ctx| build_killi(p, ctx, |c| c.coordinated_promotion = false),
         admissibility: |_| KILLI_RULE,
     });
@@ -610,6 +622,14 @@ mod tests {
         assert_eq!(label("killi-invchk:ratio=64"), "killi-invchk-1:64");
         assert_eq!(label("killi-olsc:ratio=8"), "killi-olsc-1:8");
         assert_eq!(label("killi-no-victim-prio"), "killi-no-victim-prio");
+        assert_eq!(
+            label("killi-no-victim-prio:ratio=16"),
+            "killi-no-victim-prio-1:16"
+        );
+        assert_eq!(
+            label("killi-no-promotion:ecc_sets=16,ecc_ways=8"),
+            "killi-no-promotion-ecc16x8"
+        );
         assert_eq!(label("killi:ecc_sets=16,ecc_ways=8"), "killi-ecc16x8");
     }
 

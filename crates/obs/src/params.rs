@@ -239,13 +239,24 @@ impl<A: AxisTag> Config<A> {
         out
     }
 
-    /// A config from a parsed JSON object.
+    /// A config from a parsed JSON object. Parameters go under
+    /// `params`; any other top-level key is a typed parse error, so a
+    /// misplaced parameter (`{"name": "ms-ecc", "m": 16}`) fails instead
+    /// of silently building the defaults.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, BuildError> {
         let Some(name) = v.get("name").and_then(JsonValue::as_str) else {
             let noun = A::AXIS.noun().replace(' ', "-");
             let reason = format!("{noun} object needs a string `name`");
             return Err(Self::parse_error("<json>", reason));
         };
+        if let JsonValue::Object(entries) = v {
+            if let Some((key, _)) = entries.iter().find(|(k, _)| k != "name" && k != "params") {
+                let noun = A::AXIS.noun().replace(' ', "-");
+                let reason =
+                    format!("unknown {noun} object key `{key}` (parameters go under `params`)");
+                return Err(Self::parse_error("<json>", reason));
+            }
+        }
         let mut config = Config::new(name);
         match v.get("params") {
             None | Some(JsonValue::Null) => {}
@@ -697,6 +708,19 @@ mod tests {
         assert_eq!(c.get("ratio"), Some(&ParamValue::U64(16)));
         assert_eq!(c.get("victim_priority"), Some(&ParamValue::Bool(false)));
         assert_eq!(c.to_string(), "killi:ratio=16,victim_priority=false");
+    }
+
+    #[test]
+    fn json_objects_reject_unknown_top_level_keys() {
+        let ok = parse(r#"{"name": "ms-ecc", "params": {"m": 16, "t": 4}}"#).unwrap();
+        let c = Config::<Schemes>::from_json_value(&ok).unwrap();
+        assert_eq!(c.get("m"), Some(&ParamValue::U64(16)));
+        let misplaced = parse(r#"{"name": "ms-ecc", "m": 16, "t": 4}"#).unwrap();
+        let err = Config::<Schemes>::from_json_value(&misplaced).unwrap_err();
+        assert!(
+            matches!(&err, BuildError::Parse { reason, .. } if reason.contains("`m`")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -151,11 +151,6 @@ impl Handle {
         self.shared.work_ready.notify_all();
     }
 
-    /// Whether a drain is in progress (or finished).
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Snapshot of the service counters.
     pub fn metrics(&self) -> ServeMetrics {
         self.shared.state.lock().unwrap().metrics

@@ -515,6 +515,25 @@ mod tests {
     }
 
     #[test]
+    fn misplaced_scheme_and_fault_model_params_are_rejected() {
+        // Parameters beside `name` instead of under `params` used to be
+        // dropped, so the job ran (and was cached as) the defaults.
+        let misplaced = GOLDEN.replace(
+            r#"{"name": "killi", "params": {"ratio": 16}}"#,
+            r#"{"name": "ms-ecc", "m": 16, "t": 4}"#,
+        );
+        assert_ne!(misplaced, GOLDEN);
+        let err = parse_job_spec(misplaced.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("`m`"), "{err}");
+        let fm = GOLDEN.replace(
+            "\"root_seed\": 2024,",
+            r#""root_seed": 2024, "fault_model": {"name": "clustered", "rows": 8},"#,
+        );
+        let err = parse_job_spec(fm.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("`rows`"), "{err}");
+    }
+
+    #[test]
     fn typos_and_bad_values_are_typed_errors() {
         for (body, what) in [
             ("not json", "non-JSON"),

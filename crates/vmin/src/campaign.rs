@@ -101,6 +101,12 @@ pub enum VminConfigError {
         /// What is wrong with it.
         reason: String,
     },
+    /// Two scheme configs resolve to one report label, so their rows
+    /// could not be told apart in the report.
+    DuplicateLabel {
+        /// The label both configs share.
+        label: String,
+    },
 }
 
 impl std::fmt::Display for VminConfigError {
@@ -109,6 +115,9 @@ impl std::fmt::Display for VminConfigError {
             VminConfigError::Registry(e) => write!(f, "invalid {}: {e}", e.axis().noun()),
             VminConfigError::Grid { reason } => write!(f, "invalid voltage grid: {reason}"),
             VminConfigError::Config { reason } => write!(f, "invalid campaign config: {reason}"),
+            VminConfigError::DuplicateLabel { label } => {
+                write!(f, "two schemes share the report label `{label}`")
+            }
         }
     }
 }
@@ -143,11 +152,17 @@ impl VminConfig {
             });
         }
         let registry = default_registry();
+        let mut labels = Vec::with_capacity(self.schemes.len());
         for scheme in &mut self.schemes {
             // Resolving the admissibility rule exercises name + param
             // validation and proves the scheme supports static binning.
             scheme_admissibility(scheme)?;
             *scheme = registry.canonicalize(scheme)?;
+            let label = scheme_label(scheme)?;
+            if labels.contains(&label) {
+                return Err(VminConfigError::DuplicateLabel { label });
+            }
+            labels.push(label);
         }
         build_fault_model(&self.fault_model)?;
         self.fault_model = default_fault_registry().canonicalize(&self.fault_model)?;
@@ -988,6 +1003,29 @@ mod tests {
             c.validated(),
             Err(VminConfigError::Registry(e)) if e.axis() == Axis::Scheme
         ));
+    }
+
+    #[test]
+    fn validation_rejects_schemes_sharing_a_label() {
+        // Two spellings of one config share a row label.
+        let mut c = small_config();
+        c.schemes = vec![
+            SchemeConfig::new("ms-ecc"),
+            SchemeConfig::parse("ms-ecc:m=8,t=2").unwrap(),
+        ];
+        assert!(matches!(
+            c.validated(),
+            Err(VminConfigError::DuplicateLabel { label }) if label == "ms-ecc"
+        ));
+        // Distinct geometries carry distinct labels and validate.
+        let mut c = small_config();
+        c.schemes = vec![
+            SchemeConfig::new("ms-ecc"),
+            SchemeConfig::parse("ms-ecc:m=16,t=4").unwrap(),
+            SchemeConfig::new("killi-no-promotion"),
+            SchemeConfig::parse("killi-no-promotion:ratio=16").unwrap(),
+        ];
+        assert!(c.validated().is_ok());
     }
 
     #[test]
