@@ -34,8 +34,8 @@ use crate::classify::{classify_stable0, classify_stable1, classify_unknown, Verd
 use crate::dfh::Dfh;
 use crate::ecc_cache::{EccCache, EccCacheConfig, EccPayload};
 use crate::pipeline::{
-    pack_olsc, unpack_olsc, CorrectionStore, DfhClassifier, DfhPriorityPolicy, FaultClassifier,
-    SegmentedParity, VictimPolicy,
+    CorrectionStore, DfhClassifier, DfhPriorityPolicy, FaultClassifier, SegmentedParity,
+    VictimPolicy,
 };
 
 /// Killi configuration. Defaults reproduce the paper's design; the boolean
@@ -290,9 +290,8 @@ impl KilliScheme {
         words: &[u64; 4],
     ) -> Option<Vec<usize>> {
         let codec = self.olsc.as_ref().expect("olsc payload without olsc mode");
-        let check = unpack_olsc(words, codec.check_bits());
         let mut work = *stored;
-        match codec.decode(&mut work, &check) {
+        match codec.decode_packed(&mut work, words) {
             OlscDecode::Clean => {
                 self.ecc.invalidate(line);
                 self.parity.install4(line, stored);
@@ -390,7 +389,7 @@ impl LineProtection for KilliScheme {
             Dfh::Unknown => {
                 let p16 = self.parity.install16(line, data);
                 let payload = if let Some(codec) = &self.olsc {
-                    EccPayload::Olsc(pack_olsc(&codec.encode(data)))
+                    EccPayload::Olsc(codec.encode_packed(data))
                 } else {
                     EccPayload::Secded {
                         code: secded().encode(data),
@@ -405,7 +404,7 @@ impl LineProtection for KilliScheme {
             Dfh::Stable1 => {
                 self.parity.install4(line, data);
                 let payload = if let Some(codec) = &self.olsc {
-                    EccPayload::Olsc(pack_olsc(&codec.encode(data)))
+                    EccPayload::Olsc(codec.encode_packed(data))
                 } else if self.config.dected_upgrade {
                     self.flags[line].dected = true;
                     EccPayload::Dected(dected().encode(data))
@@ -1280,11 +1279,16 @@ mod olsc_tests {
     }
 
     #[test]
-    fn olsc_payload_roundtrip() {
+    fn olsc_payload_is_the_packed_encoding() {
+        // The ECC-cache payload words are the packed checkbits, bit i of
+        // the line's checkbit vector at bit i % 64 of word i / 64.
         let codec = OlscLine::new(8, 2);
         let data = Line512::from_seed(9);
+        let packed = codec.encode_packed(&data);
         let bits = codec.encode(&data);
-        let packed = pack_olsc(&bits);
-        assert_eq!(unpack_olsc(&packed, bits.len()), bits);
+        assert_eq!(bits.len(), 256);
+        for (i, &bit) in bits.iter().enumerate() {
+            assert_eq!((packed[i / 64] >> (i % 64)) & 1 == 1, bit, "checkbit {i}");
+        }
     }
 }

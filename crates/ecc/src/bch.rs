@@ -64,8 +64,10 @@ impl DectedDecode {
 /// The DEC-TED(533, 512) codec.
 #[derive(Debug)]
 pub struct Dected {
-    /// Generator polynomial `m1(x) * m3(x)`, degree 20 (bit i = coeff x^i).
-    generator: u64,
+    /// Encoder remainder table: entry `x` is the 20-bit LFSR register
+    /// after eight zero-input steps from `x << 12`, so one lookup
+    /// advances the division by `m1(x) * m3(x)` a whole data byte.
+    remainder_table: [u32; 256],
     /// Per-byte syndrome tables: `s1_table[byte_idx][byte]` is the XOR of
     /// `alpha^degree` over the set bits, and likewise for `alpha^(3*degree)`.
     s1_table: Vec<[u16; 256]>,
@@ -104,6 +106,20 @@ impl Dected {
             }
         }
         debug_assert_eq!(64 - generator.leading_zeros() as usize - 1, BCH_BITS);
+        let mask = (1u32 << BCH_BITS) - 1;
+        let feedback = generator as u32 & mask;
+        let mut remainder_table = [0u32; 256];
+        for (x, entry) in remainder_table.iter_mut().enumerate() {
+            let mut reg = (x as u32) << (BCH_BITS - 8);
+            for _ in 0..8 {
+                let top = (reg >> (BCH_BITS - 1)) & 1;
+                reg = (reg << 1) & mask;
+                if top == 1 {
+                    reg ^= feedback;
+                }
+            }
+            *entry = reg;
+        }
 
         let nbytes = CODE_LEN.div_ceil(8);
         let mut s1_table = vec![[0u16; 256]; nbytes];
@@ -126,7 +142,7 @@ impl Dected {
             }
         }
         Dected {
-            generator,
+            remainder_table,
             s1_table,
             s3_table,
         }
@@ -134,23 +150,21 @@ impl Dected {
 
     /// Encodes `data`, returning the 21 checkbits.
     pub fn encode(&self, data: &Line512) -> DectedCode {
-        // Compute d(x) * x^20 mod g(x) with an LFSR over the data bits,
-        // highest degree first.
-        let mut reg: u64 = 0;
-        for i in (0..LINE_BITS).rev() {
-            let fb = ((reg >> (BCH_BITS - 1)) & 1) ^ u64::from(data.bit(i));
-            reg = (reg << 1) & ((1 << BCH_BITS) - 1);
-            if fb == 1 {
-                reg ^= self.generator & ((1 << BCH_BITS) - 1);
+        // d(x) * x^20 mod g(x), highest degree first: the data bytes from
+        // the top, each most-significant bit first, one table step each
+        // (the byte enters the register's top 8 bits, where the bit-serial
+        // LFSR would have fed it back one bit at a time).
+        let mask = (1u32 << BCH_BITS) - 1;
+        let mut reg = 0u32;
+        for word in data.words().iter().rev() {
+            for byte in word.to_be_bytes() {
+                let top = (reg >> (BCH_BITS - 8)) as u8 ^ byte;
+                reg = ((reg << 8) & mask) ^ self.remainder_table[top as usize];
             }
         }
-        let mut code = reg as u32;
         // Overall parity over all 532 codeword bits.
-        let parity = data.parity() ^ ((reg.count_ones() % 2) == 1);
-        if parity {
-            code |= 1 << BCH_BITS;
-        }
-        DectedCode(code)
+        let parity = data.parity() ^ (reg.count_ones() % 2 == 1);
+        DectedCode(reg | u32::from(parity) << BCH_BITS)
     }
 
     /// Computes the raw syndromes for a received (data, checkbits) pair.
