@@ -44,6 +44,21 @@ pub fn scheme_label(config: &SchemeConfig) -> Result<String, BuildError> {
     default_registry().label(config)
 }
 
+/// The first report label two of `configs` share, if any: their rows
+/// could not be told apart in a report, so sweeps and campaigns reject
+/// such a scheme list.
+pub fn shared_label(configs: &[SchemeConfig]) -> Result<Option<String>, BuildError> {
+    let mut labels = Vec::with_capacity(configs.len());
+    for config in configs {
+        let label = scheme_label(config)?;
+        if labels.contains(&label) {
+            return Ok(Some(label));
+        }
+        labels.push(label);
+    }
+    Ok(None)
+}
+
 /// The static line-admissibility rule of a declarative config via
 /// [`default_registry`] (the Vmin campaign's binning predicate).
 pub fn scheme_admissibility(config: &SchemeConfig) -> Result<LineRule, BuildError> {

@@ -39,7 +39,8 @@ use crate::fault_models::{
 use crate::report::Table;
 use crate::runner::{run_cell, run_cell_traced, ObsConfig};
 use crate::schemes::{
-    build_scheme, default_registry, scheme_label, BuildCtx, BuildError, SchemeConfig, SchemeSpec,
+    build_scheme, default_registry, scheme_label, shared_label, BuildCtx, BuildError, SchemeConfig,
+    SchemeSpec,
 };
 
 /// Why a [`SweepConfig`] failed validation: either the scheme axis or the
@@ -282,14 +283,11 @@ impl SweepConfig {
             Arc::new(FaultMap::fault_free(self.gpu.l2.lines())),
             self.gpu.l2,
         );
-        let mut labels = Vec::with_capacity(self.schemes.len());
         for scheme in &self.schemes {
             build_scheme(scheme, &ctx)?;
-            let label = scheme_label(scheme)?;
-            if labels.contains(&label) {
-                return Err(SweepConfigError::DuplicateLabel { label });
-            }
-            labels.push(label);
+        }
+        if let Some(label) = shared_label(&self.schemes)? {
+            return Err(SweepConfigError::DuplicateLabel { label });
         }
         build_fault_model(&self.fault_model)?;
         validate_voltage_grid(&self.vdds)

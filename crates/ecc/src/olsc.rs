@@ -275,11 +275,6 @@ impl Olsc {
         2 * self.t * self.m
     }
 
-    /// Correction capability per block.
-    pub fn t(&self) -> usize {
-        self.t
-    }
-
     /// Class parities of every group, group `g` in `out[g]` (bit `c` is
     /// class `c`).
     #[inline(always)]
@@ -350,56 +345,115 @@ impl Olsc {
 
     /// Encodes a data block into its packed checkbits.
     pub fn encode(&self, data: &OlscBlock) -> OlscChecks {
-        match self.m {
-            4 => self.encode_block::<4>(data),
-            8 => self.encode_block::<8>(data),
-            _ => self.encode_block::<16>(data),
-        }
-    }
-
-    fn encode_block<const M: usize>(&self, data: &OlscBlock) -> OlscChecks {
-        let mut groups = [0; MAX_GROUPS];
-        self.parities::<M>(data, &mut groups);
-        let mut out = [0; 4];
-        for (g, &value) in groups[..2 * self.t].iter().enumerate() {
-            put(&mut out, g * M, value);
-        }
-        out
+        self.encode_words(data, 1)
     }
 
     /// Decodes a received (data, packed checkbits) pair, correcting `data`
     /// in place; corrected bits are block bit indices.
     pub fn decode(&self, data: &mut OlscBlock, stored: &OlscChecks) -> OlscDecode {
+        self.decode_words(data, 1, stored)
+    }
+
+    /// Packed checkbits of the first `blocks` blocks packed in `words`.
+    fn encode_words(&self, words: &[u64], blocks: usize) -> OlscChecks {
         match self.m {
-            4 => self.decode_block::<4>(data, stored),
-            8 => self.decode_block::<8>(data, stored),
-            _ => self.decode_block::<16>(data, stored),
+            4 => self.encode_blocks::<4>(words, blocks),
+            8 => self.encode_blocks::<8>(words, blocks),
+            _ => self.encode_blocks::<16>(words, blocks),
         }
     }
 
-    fn decode_block<const M: usize>(
+    /// Decodes the first `blocks` blocks packed in `words` in order; a
+    /// block with more than `t` errors stops the decode with
+    /// [`OlscDecode::Detected`], leaving the corrections of earlier
+    /// blocks applied and its own data untouched.
+    fn decode_words(&self, words: &mut [u64], blocks: usize, stored: &OlscChecks) -> OlscDecode {
+        match self.m {
+            4 => self.decode_blocks::<4>(words, blocks, stored),
+            8 => self.decode_blocks::<8>(words, blocks, stored),
+            _ => self.decode_blocks::<16>(words, blocks, stored),
+        }
+    }
+
+    fn encode_blocks<const M: usize>(&self, words: &[u64], blocks: usize) -> OlscChecks {
+        let groups = 2 * self.t;
+        let mut out = [0; 4];
+        let mut parities = [0; MAX_GROUPS];
+        for b in 0..blocks {
+            self.parities::<M>(&block::<M>(words, b), &mut parities);
+            for (g, &value) in parities[..groups].iter().enumerate() {
+                put(&mut out, (b * groups + g) * M, value);
+            }
+        }
+        out
+    }
+
+    fn decode_blocks<const M: usize>(
         &self,
-        data: &mut OlscBlock,
+        words: &mut [u64],
+        blocks: usize,
         stored: &OlscChecks,
     ) -> OlscDecode {
-        let mut syndrome = [0; MAX_GROUPS];
-        self.parities::<M>(data, &mut syndrome);
-        for (g, s) in syndrome[..2 * self.t].iter_mut().enumerate() {
-            *s ^= get(stored, g * M, M);
+        let groups = 2 * self.t;
+        let mut syndrome = self.encode_blocks::<M>(words, blocks);
+        let used = blocks * groups * M;
+        for (w, (s, &c)) in syndrome.iter_mut().zip(stored).enumerate() {
+            let width = used.saturating_sub(w * 64).min(64);
+            *s = (*s ^ c) & if width == 64 { !0 } else { low_bits(width) };
         }
-        if syndrome == [0; MAX_GROUPS] {
+        if syndrome == [0; 4] {
             return OlscDecode::Clean;
         }
-        match self.fix::<M>(&syndrome) {
-            BlockFix::Clean => OlscDecode::Clean,
-            BlockFix::Detected => OlscDecode::Detected,
-            BlockFix::Corrected(flips) => {
-                let mut bits = Vec::new();
-                for (w, (word, &flip)) in data.iter_mut().zip(&flips).enumerate() {
-                    *word ^= flip;
-                    push_bits(&mut bits, w * 64, flip);
+        let mut bits = Vec::new();
+        for b in 0..blocks {
+            let mut block_syndrome = [0; MAX_GROUPS];
+            for (g, s) in block_syndrome[..groups].iter_mut().enumerate() {
+                *s = get(&syndrome, (b * groups + g) * M, M);
+            }
+            if block_syndrome == [0; MAX_GROUPS] {
+                continue;
+            }
+            match self.fix::<M>(&block_syndrome) {
+                BlockFix::Clean => {}
+                BlockFix::Detected => return OlscDecode::Detected,
+                BlockFix::Corrected(flips) => {
+                    flip_block::<M>(words, b, &flips);
+                    for (w, &flip) in flips.iter().enumerate() {
+                        push_bits(&mut bits, b * M * M + w * 64, flip);
+                    }
                 }
-                OlscDecode::Corrected { bits }
+            }
+        }
+        if bits.is_empty() {
+            OlscDecode::Clean
+        } else {
+            OlscDecode::Corrected { bits }
+        }
+    }
+}
+
+/// Block `b` of the width-`M` blocks packed in `words`.
+fn block<const M: usize>(words: &[u64], b: usize) -> OlscBlock {
+    match M {
+        4 => [(words[b / 4] >> (16 * (b % 4))) & 0xFFFF, 0, 0, 0],
+        8 => [words[b], 0, 0, 0],
+        _ => [
+            words[4 * b],
+            words[4 * b + 1],
+            words[4 * b + 2],
+            words[4 * b + 3],
+        ],
+    }
+}
+
+/// Flips the bits `flips` selects in block `b` of `words`.
+fn flip_block<const M: usize>(words: &mut [u64], b: usize, flips: &OlscBlock) {
+    match M {
+        4 => words[b / 4] ^= flips[0] << (16 * (b % 4)),
+        8 => words[b] ^= flips[0],
+        _ => {
+            for (word, flip) in words[4 * b..4 * b + 4].iter_mut().zip(flips) {
+                *word ^= flip;
             }
         }
     }
@@ -451,11 +505,7 @@ impl OlscLine {
 
     /// Encodes a line into its packed checkbits.
     pub fn encode_packed(&self, line: &Line512) -> OlscChecks {
-        match self.codec.m {
-            4 => self.encode_line::<4>(line),
-            8 => self.encode_line::<8>(line),
-            _ => self.encode_line::<16>(line),
-        }
+        self.codec.encode_words(line.words(), self.blocks)
     }
 
     /// Decodes a line in place against packed checkbits. Blocks are
@@ -463,11 +513,7 @@ impl OlscLine {
     /// decode with [`OlscDecode::Detected`], leaving the corrections of
     /// earlier blocks applied and its own data untouched.
     pub fn decode_packed(&self, line: &mut Line512, stored: &OlscChecks) -> OlscDecode {
-        match self.codec.m {
-            4 => self.decode_line::<4>(line, stored),
-            8 => self.decode_line::<8>(line, stored),
-            _ => self.decode_line::<16>(line, stored),
-        }
+        self.codec.decode_words(&mut line.0, self.blocks, stored)
     }
 
     /// Encodes a line into one `bool` per checkbit, in packed bit order.
@@ -500,81 +546,6 @@ impl OlscLine {
                 .fold(0, |acc, &bit| acc << 1 | u64::from(bit));
         }
         self.decode_packed(line, &packed)
-    }
-
-    /// Block `b` of the line.
-    fn block<const M: usize>(line: &Line512, b: usize) -> OlscBlock {
-        let w = line.words();
-        match M {
-            4 => [(w[b / 4] >> (16 * (b % 4))) & 0xFFFF, 0, 0, 0],
-            8 => [w[b], 0, 0, 0],
-            _ => [w[4 * b], w[4 * b + 1], w[4 * b + 2], w[4 * b + 3]],
-        }
-    }
-
-    /// Flips the bits `flips` selects in block `b` of the line.
-    fn flip_block<const M: usize>(line: &mut Line512, b: usize, flips: &OlscBlock) {
-        match M {
-            4 => line.0[b / 4] ^= flips[0] << (16 * (b % 4)),
-            8 => line.0[b] ^= flips[0],
-            _ => {
-                for (word, flip) in line.0[4 * b..4 * b + 4].iter_mut().zip(flips) {
-                    *word ^= flip;
-                }
-            }
-        }
-    }
-
-    fn encode_line<const M: usize>(&self, line: &Line512) -> OlscChecks {
-        let groups = 2 * self.codec.t;
-        let mut out = [0; 4];
-        let mut parities = [0; MAX_GROUPS];
-        for b in 0..self.blocks {
-            self.codec
-                .parities::<M>(&Self::block::<M>(line, b), &mut parities);
-            for (g, &value) in parities[..groups].iter().enumerate() {
-                put(&mut out, (b * groups + g) * M, value);
-            }
-        }
-        out
-    }
-
-    fn decode_line<const M: usize>(&self, line: &mut Line512, stored: &OlscChecks) -> OlscDecode {
-        let groups = 2 * self.codec.t;
-        let mut syndrome = self.encode_line::<M>(line);
-        let used = self.check_bits();
-        for (w, (s, &c)) in syndrome.iter_mut().zip(stored).enumerate() {
-            let width = used.saturating_sub(w * 64).min(64);
-            *s = (*s ^ c) & if width == 64 { !0 } else { low_bits(width) };
-        }
-        if syndrome == [0; 4] {
-            return OlscDecode::Clean;
-        }
-        let mut bits = Vec::new();
-        for b in 0..self.blocks {
-            let mut block_syndrome = [0; MAX_GROUPS];
-            for (g, s) in block_syndrome[..groups].iter_mut().enumerate() {
-                *s = get(&syndrome, (b * groups + g) * M, M);
-            }
-            if block_syndrome == [0; MAX_GROUPS] {
-                continue;
-            }
-            match self.codec.fix::<M>(&block_syndrome) {
-                BlockFix::Clean => {}
-                BlockFix::Detected => return OlscDecode::Detected,
-                BlockFix::Corrected(flips) => {
-                    Self::flip_block::<M>(line, b, &flips);
-                    for (w, &flip) in flips.iter().enumerate() {
-                        push_bits(&mut bits, b * M * M + w * 64, flip);
-                    }
-                }
-            }
-        }
-        if bits.is_empty() {
-            OlscDecode::Clean
-        } else {
-            OlscDecode::Corrected { bits }
-        }
     }
 }
 

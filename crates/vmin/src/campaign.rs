@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use killi::registry::{BuildError, LineRule, SchemeConfig};
 use killi_bench::exec::{par_map, Progress};
 use killi_bench::fault_models::{build_fault_model, fault_model_label, FaultModelConfig};
-use killi_bench::schemes::{default_registry, scheme_admissibility, scheme_label};
+use killi_bench::schemes::{default_registry, scheme_admissibility, scheme_label, shared_label};
 use killi_bench::sweep::{validate_voltage_grid, Accumulator};
 use killi_fault::model::default_registry as default_fault_registry;
 use killi_fault::rng::derive_seed;
@@ -152,17 +152,14 @@ impl VminConfig {
             });
         }
         let registry = default_registry();
-        let mut labels = Vec::with_capacity(self.schemes.len());
         for scheme in &mut self.schemes {
             // Resolving the admissibility rule exercises name + param
             // validation and proves the scheme supports static binning.
             scheme_admissibility(scheme)?;
             *scheme = registry.canonicalize(scheme)?;
-            let label = scheme_label(scheme)?;
-            if labels.contains(&label) {
-                return Err(VminConfigError::DuplicateLabel { label });
-            }
-            labels.push(label);
+        }
+        if let Some(label) = shared_label(&self.schemes)? {
+            return Err(VminConfigError::DuplicateLabel { label });
         }
         build_fault_model(&self.fault_model)?;
         self.fault_model = default_fault_registry().canonicalize(&self.fault_model)?;
